@@ -10,9 +10,8 @@ from .partitions import GammaPartition, Partition, hook_lengths
 from .qpoly import (
     LaurentPoly,
     evaluate_at_one,
-    exact_divide,
     geometric_product_series,
-    one_minus_q,
+    one_minus_quotient,
     qfactorial_product,
     substitute_inverse,
 )
@@ -32,43 +31,38 @@ class CharacterReport:
     dimension: int
 
 
-def _hook_denominator(hooks):
-    den = LaurentPoly.one()
-    for h in hooks:
-        den = den * one_minus_q(h)
-    return den
+def _label_hooks(label):
+    """Hook multiset of a label: the cells of a Partition, or of every
+    component of a GammaPartition."""
+    if isinstance(label, Partition):
+        return hook_lengths(label)
+    if isinstance(label, GammaPartition):
+        return [h for comp in label.components for h in hook_lengths(comp)]
+    raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
-def kostka(lam):
-    """Kostka polynomial of a partition, normalized to constant term 1.
+def _q_hook_formula(label):
+    hooks = _label_hooks(label)  # first, so a non-label raises TypeError
+    return one_minus_quotient(range(1, label.size + 1), hooks)
 
-    (1-q)...(1-q^n) divided exactly by prod over cells of (1 - q^hook).
+
+def kostka(label):
+    """Kostka polynomial of a label, normalized to constant term 1.
+
+    (1-q)...(1-q^n) divided exactly by prod over cells of (1 - q^hook), with n
+    the total size; a GammaPartition's cells are those of all its components.
     """
-    n = lam.size
-    return exact_divide(qfactorial_product(n), _hook_denominator(hook_lengths(lam)))
+    return _q_hook_formula(label)
 
 
 def kostka_wreath(gp):
-    """Wreath Kostka polynomial of an N-tuple of partitions.
-
-    Same shape of formula with n the total size and the hook product running
-    over the cells of every component.
-    """
-    n = gp.size
-    hooks = []
-    for comp in gp.components:
-        hooks.extend(hook_lengths(comp))
-    return exact_divide(qfactorial_product(n), _hook_denominator(hooks))
+    """Wreath Kostka polynomial of an N-tuple of partitions; the same formula as kostka."""
+    return _q_hook_formula(gp)
 
 
 def character(label):
     """Zero-fiber character report for a Partition or GammaPartition label."""
-    if isinstance(label, Partition):
-        k = kostka(label)
-    elif isinstance(label, GammaPartition):
-        k = kostka_wreath(label)
-    else:
-        raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
+    k = kostka(label)
     ch = k * substitute_inverse(k)
     return CharacterReport(label=label, kostka=k, character=ch, dimension=evaluate_at_one(k))
 

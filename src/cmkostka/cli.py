@@ -54,7 +54,7 @@ def _emit_json(obj):
 
 
 def _kostka_entry(label):
-    poly = kostka(label) if not hasattr(label, "components") else kostka_wreath(label)
+    poly = kostka(label)
     return {"lambda": str(label), "kostka": poly.to_json_dict()}, poly
 
 
@@ -245,7 +245,6 @@ def _cmd_verify_all(args):
         n=args.n,
         N=args.N,
         seed=args.seed,
-        threads=args.threads,
         corrupt_hooks=args.inject_hook_corruption,
         max_size=args.max_size,
     )
@@ -351,7 +350,6 @@ def build_parser():
     p.add_argument("--n", type=_positive, help="cap on partition sizes and matrix ranks")
     p.add_argument("--N", type=_positive, help="cap on component counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive, default=1)
     p.add_argument(
         "--max-size", dest="max_size", type=_positive, help="cap on tableau enumeration size"
     )

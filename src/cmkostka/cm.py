@@ -25,7 +25,7 @@ class ZeroScalar(ValueError):
 
 
 class NotInAnyCell(RuntimeError):
-    """No flag-intersection profile exists; indicates a corrupted rank computation."""
+    """No flag-intersection profile exists: the basis columns are dependent."""
 
 
 def _frac(x):
@@ -456,27 +456,11 @@ def schubert_profile(subspace):
             f"need an n-dimensional subspace of a 2n-dimensional space, got {subspace.rows}x{subspace.cols}"
         )
     n = subspace.cols
-    ambient = subspace.rows
-    if subspace.rank() != n:
+    # dim(W meet F_j) counts the echelon pivots p >= 2n - j, so step j is a jump
+    # exactly when 2n - j is a pivot column of the transposed basis.
+    _, pivots = subspace.transpose().rref()
+    if len(pivots) != n:
         raise NotInAnyCell("basis columns are dependent")
-    jumps = []
-    prev = 0
-    for j in range(1, ambient + 1):
-        # dim(W meet F_j) = n + j - rank([W | F_j])
-        flag_cols = [
-            [Fraction(1) if r == ambient - t else Fraction(0) for t in range(1, j + 1)]
-            for r in range(ambient)
-        ]
-        stacked = RationalMatrix(
-            [list(subspace.entries[r]) + flag_cols[r] for r in range(ambient)]
-        )
-        d = n + j - stacked.rank()
-        if d < prev or d > prev + 1:
-            raise NotInAnyCell(f"intersection dimensions must step by 0 or 1, got {prev} -> {d}")
-        if d == prev + 1:
-            jumps.append(j)
-        prev = d
-    if len(jumps) != n:
-        raise NotInAnyCell(f"expected {n} jumps, found {len(jumps)}")
+    jumps = sorted(2 * n - p for p in pivots)
     increasing = [jumps[i] - (i + 1) for i in range(n)]
     return Partition(tuple(p for p in reversed(increasing) if p > 0))

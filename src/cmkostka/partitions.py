@@ -6,6 +6,7 @@ weakly increasing sequence padded with zeros to a fixed length; use
 ``Partition.padded_increasing`` for that view.
 """
 
+import operator
 from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
@@ -35,7 +36,7 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(operator.index(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p} in {parts}")

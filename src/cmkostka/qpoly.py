@@ -5,13 +5,15 @@ exponent -> coefficient map with no zero entries.  Division is exact or it
 raises; there is no floating point anywhere.
 """
 
+from collections import Counter
 from fractions import Fraction
+from operator import index
 
 
 class NonExactDivision(ArithmeticError):
     """Division left a nonzero remainder or a non-integer quotient.
 
-    remainder holds the offending remainder as an exponent -> Fraction map
+    remainder holds the offending remainder as an exponent -> coefficient map
     (empty when the failure is a fractional quotient).
     """
 
@@ -29,9 +31,9 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for exp, c in coeffs.items():
-                c = int(c)
+                c = index(c)
                 if c != 0:
-                    clean[int(exp)] = c
+                    clean[index(exp)] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -212,6 +214,36 @@ def exact_divide(a, b):
     if any(c.denominator != 1 for c in quotient.values()):
         raise NonExactDivision("quotient has non-integer coefficients", {})
     return LaurentPoly({e + shift: int(c) for e, c in quotient.items()})
+
+
+def one_minus_quotient(tops, bottoms):
+    """prod over t in tops of (1 - q^t), divided exactly by prod over b in
+    bottoms of (1 - q^b), or raise NonExactDivision.
+
+    Factors shared by the two multisets cancel first.  The rest is integer
+    arithmetic on a dense coefficient list: multiplying by 1 - q^t is
+    c[k] -= c[k-t], and dividing by 1 - q^b is c[k] += c[k-b] in increasing k,
+    which is exact when the top b coefficients then vanish.
+    """
+    count = Counter(tops)
+    count.subtract(bottoms)
+    if any(e < 1 for e in count):
+        raise ValueError(f"exponents must be positive, got {sorted(count)}")
+    coeffs = [1] + [0] * sum(e * m for e, m in count.items() if m > 0)
+    deg = 0
+    for t in count.elements():
+        deg += t
+        for k in range(deg, t - 1, -1):
+            coeffs[k] -= coeffs[k - t]
+    for b, m in count.items():
+        for _ in range(-m):
+            for k in range(b, deg + 1):
+                coeffs[k] += coeffs[k - b]
+            left = {k: coeffs[k] for k in range(max(deg - b + 1, 0), deg + 1) if coeffs[k]}
+            if left:
+                raise NonExactDivision(f"1 - q^{b} leaves remainder with exponents {sorted(left)}", left)
+            deg -= b
+    return LaurentPoly(dict(enumerate(coeffs[: deg + 1])))
 
 
 def substitute_inverse(a):

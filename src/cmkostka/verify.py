@@ -3,11 +3,11 @@
 Each check walks its enumerated work items, counts them, and stops at the
 first falsified identity, reporting the offending label and both sides.
 Randomized checks derive a private generator from the seed and the check
-name, so results do not depend on execution order or thread scheduling.
+name, so results do not depend on execution order.  A check that raises
+counts as failed, with the exception named in its detail.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -70,7 +70,6 @@ class _Limits:
     n: int | None
     N: int | None
     seed: int
-    samples: int
     corrupt_hooks: bool
     max_size: int | None = None
 
@@ -82,6 +81,10 @@ class _Limits:
 
     def rng(self, name):
         return random.Random(f"{self.seed}:{name}")
+
+
+# Random matrix pairs drawn by each rank-one check.
+_SAMPLES = 200
 
 
 def _partitions_up_to(bound):
@@ -385,7 +388,7 @@ def _random_points(rng, count, max_n):
 def _check_rank_one_random_points(lim):
     rng = lim.rng("rank-one-random-points")
     items = 0
-    for point in _random_points(rng, lim.samples, lim.cap_n(12)):
+    for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         items += 1
         ok, m, witness = verify_cm(*wilson_representative(point))
         if not ok:
@@ -400,7 +403,7 @@ def _check_rank_one_random_points(lim):
 def _check_scaling_preserves_rank_one(lim):
     rng = lim.rng("scaling-preserves-rank-one")
     items = 0
-    for point in _random_points(rng, lim.samples, lim.cap_n(12)):
+    for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         items += 1
         x, y = wilson_representative(point)
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
@@ -412,7 +415,7 @@ def _check_scaling_preserves_rank_one(lim):
 def _check_involution_preserves_rank_one(lim):
     rng = lim.rng("involution-preserves-rank-one")
     items = 0
-    for point in _random_points(rng, lim.samples, lim.cap_n(12)):
+    for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         items += 1
         x, y = wilson_representative(point)
         if not verify_cm(*involution(x, y))[0]:
@@ -426,7 +429,7 @@ def _check_involution_preserves_rank_one(lim):
 def _check_eigenvalue_polynomial(lim):
     rng = lim.rng("eigenvalue-polynomial")
     items = 0
-    for point in _random_points(rng, lim.samples, lim.cap_n(12)):
+    for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         items += 1
         x, y = wilson_representative(point)
         _, char_y = projections(x, y)
@@ -528,38 +531,22 @@ def check_names():
     return tuple(name for name, _ in _REGISTRY)
 
 
-def run_checks(
-    names=None, n=None, N=None, seed=0, samples=200, threads=1, corrupt_hooks=False, max_size=None
-):
-    """Run the named checks (all by default) and return their results in registry order."""
-    lim = _Limits(
-        n=n, N=N, seed=seed, samples=samples, corrupt_hooks=corrupt_hooks, max_size=max_size
-    )
+def run_checks(names=None, n=None, N=None, seed=0, corrupt_hooks=False, max_size=None):
+    """Run the named checks (all by default) and return their results in registry order.
+
+    A check that raises is reported as failed; the remaining checks still run.
+    """
+    lim = _Limits(n=n, N=N, seed=seed, corrupt_hooks=corrupt_hooks, max_size=max_size)
     selected = [(name, fn) for name, fn in _REGISTRY if names is None or name in names]
     if names is not None:
         unknown = set(names) - {name for name, _ in _REGISTRY}
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-
-    def run_one(entry):
-        name, fn = entry
-        items, detail = fn(lim)
-        return CheckResult(name=name, passed=not detail, items=items, detail=detail)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, selected))
-    return [run_one(entry) for entry in selected]
-
-
-def verify_all(n=None, N=None, seed=0, samples=200, threads=1, corrupt_hooks=False, max_size=None):
-    """Run every registered check; the full-suite entry point behind the CLI."""
-    return run_checks(
-        n=n,
-        N=N,
-        seed=seed,
-        samples=samples,
-        threads=threads,
-        corrupt_hooks=corrupt_hooks,
-        max_size=max_size,
-    )
+    results = []
+    for name, fn in selected:
+        try:
+            items, detail = fn(lim)
+        except Exception as err:
+            items, detail = 0, f"raised {type(err).__name__}: {err}"
+        results.append(CheckResult(name=name, passed=not detail, items=items, detail=detail))
+    return results

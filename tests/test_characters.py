@@ -1,5 +1,7 @@
 """Kostka polynomials, fiber characters, and fixed-point weight data."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,14 @@ from cmkostka.partitions import (
     standard_tableaux,
     syt_count,
 )
-from cmkostka.qpoly import LaurentPoly, evaluate_at_one, qmultinomial
+from cmkostka.qpoly import (
+    LaurentPoly,
+    evaluate_at_one,
+    exact_divide,
+    one_minus_q,
+    qfactorial_product,
+    qmultinomial,
+)
 
 
 @st.composite
@@ -75,6 +84,27 @@ def test_character_accepts_wreath_labels():
 def test_character_rejects_other_types():
     with pytest.raises(TypeError):
         character((2, 1))
+    with pytest.raises(TypeError):
+        kostka("2,1")
+
+
+def _long_division_kostka(components):
+    """The hook formula by Fraction long division, independent of the integer kernel."""
+    hooks = [h for comp in components for h in hook_lengths(comp)]
+    den = prod(map(one_minus_q, hooks), start=LaurentPoly.one())
+    return exact_divide(qfactorial_product(sum(c.size for c in components)), den)
+
+
+def test_kostka_matches_long_division_oracle():
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            assert kostka(lam) == _long_division_kostka([lam])
+    for N in (1, 2, 3):
+        for n in range(6):
+            for gp in enumerate_gamma_partitions(N, n):
+                expected = _long_division_kostka(gp.components)
+                assert kostka_wreath(gp) == expected
+                assert kostka(gp) == expected
 
 
 def test_fixed_point_exponents_golden():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmkostka import verify
 from cmkostka.cli import main
 
 
@@ -177,10 +178,21 @@ def test_identical_config_gives_identical_bytes(capsys):
     first = run_cli(capsys, "verify-all", "--n", "3", "--N", "2", "--seed", "9", "--json")
     second = run_cli(capsys, "verify-all", "--n", "3", "--N", "2", "--seed", "9", "--json")
     assert first == second
-    third = run_cli(
-        capsys, "verify-all", "--n", "3", "--N", "2", "--seed", "9", "--threads", "3", "--json"
-    )
-    assert third == first
+
+
+def test_verify_all_crash_inside_a_check_is_a_failed_check(capsys, monkeypatch):
+    def crash(lim):
+        raise ValueError("boom")
+
+    registry = list(verify._REGISTRY)
+    name = registry[5][0]
+    registry[5] = (name, crash)
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(registry))
+    code, out, _ = run_cli(capsys, "verify-all", "--n", "3", "--N", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 28
+    assert f"FAIL {name}: raised ValueError: boom" in lines
 
 
 def test_console_entry_point_runs():

@@ -1,5 +1,6 @@
 """Exact matrix pairs, the rank-one condition, and the Grassmannian embedding."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,47 @@ def test_profile_of_mixed_subspace():
     # span{1 + z^3, z + z^2} meets the flag first at step 3, then at step 4
     w = RationalMatrix([[1, 0], [0, 1], [0, 1], [1, 0]])
     assert schubert_profile(w) == Partition((2, 2))
+
+
+def _stacked_rank_profile(subspace):
+    """Profile by the definition: dim(W meet F_j) = n + j - rank([W | F_j]) for every j."""
+    n, ambient = subspace.cols, subspace.rows
+    jumps, prev = [], 0
+    for j in range(1, ambient + 1):
+        stacked = RationalMatrix(
+            [list(subspace.entries[r]) + [int(r == ambient - t) for t in range(1, j + 1)]
+             for r in range(ambient)]
+        )
+        d = n + j - stacked.rank()
+        if d == prev + 1:
+            jumps.append(j)
+        prev = d
+    increasing = [jumps[i] - (i + 1) for i in range(n)]
+    return Partition(tuple(p for p in reversed(increasing) if p > 0))
+
+
+def test_profile_matches_stacked_rank_oracle():
+    rng = random.Random(2001)
+    profiles = set()
+    compared = 0
+    while compared < 150:
+        n = rng.randint(1, 5)
+        # each column starts at a random exponent, so every cell gets hit
+        columns = []
+        for _ in range(n):
+            low = rng.randrange(2 * n)
+            columns.append([rng.randint(-3, 3) if r >= low and rng.random() < 0.6 else 0
+                            for r in range(2 * n)])
+        subspace = RationalMatrix([[col[r] for col in columns] for r in range(2 * n)])
+        if subspace.rank() != n:
+            with pytest.raises(NotInAnyCell):
+                schubert_profile(subspace)
+            continue
+        expected = _stacked_rank_profile(subspace)
+        assert schubert_profile(subspace) == expected
+        profiles.add(expected)
+        compared += 1
+    assert len(profiles) > 20
 
 
 def test_profile_errors():

@@ -68,6 +68,10 @@ def test_constructor_rejects_bad_parts():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+    with pytest.raises(TypeError):
+        Partition((2.7, 1))
+    with pytest.raises(TypeError):
+        Partition((2.0, 1))
 
 
 def test_partition_is_immutable_and_hashable():

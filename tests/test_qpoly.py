@@ -1,6 +1,8 @@
 """Laurent polynomial ring, exact division, and the canonical renderings."""
 
 import json
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from cmkostka.qpoly import (
     exact_divide,
     geometric_product_series,
     one_minus_q,
+    one_minus_quotient,
     qfactorial_product,
     qmultinomial,
     substitute_inverse,
@@ -114,6 +117,50 @@ def test_exact_divide_failures():
 def test_non_integer_quotient_is_rejected():
     with pytest.raises(NonExactDivision):
         exact_divide(LaurentPoly({0: 1}), LaurentPoly({0: 2}))
+
+
+def test_non_integers_are_rejected_not_coerced():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        LaurentPoly({1.9: 3})
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 2.0})
+
+
+def test_one_minus_quotient_golden():
+    assert one_minus_quotient([], []) == LaurentPoly.one()
+    assert one_minus_quotient([1, 2, 3], [1, 2, 3]) == LaurentPoly.one()
+    assert one_minus_quotient([3], [1]).coeffs == {0: 1, 1: 1, 2: 1}
+    assert one_minus_quotient([2], []) == one_minus_q(2)
+    # Gaussian binomial [4 choose 2]
+    assert one_minus_quotient([1, 2, 3, 4], [1, 2, 1, 2]).coeffs == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+
+
+def test_one_minus_quotient_rejects_non_exact_division():
+    with pytest.raises(NonExactDivision) as err:
+        one_minus_quotient([1, 2, 3], [3, 2, 2])
+    assert err.value.remainder
+    with pytest.raises(NonExactDivision):
+        one_minus_quotient([], [1])
+    with pytest.raises(ValueError):
+        one_minus_quotient([0], [])
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=5),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=5),
+)
+def test_one_minus_quotient_matches_long_division(tops, bottoms):
+    num = prod(map(one_minus_q, tops), start=LaurentPoly.one())
+    den = prod(map(one_minus_q, bottoms), start=LaurentPoly.one())
+    try:
+        expected = exact_divide(num, den)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            one_minus_quotient(tops, bottoms)
+    else:
+        assert one_minus_quotient(tops, bottoms) == expected
 
 
 def test_substitute_inverse_and_palindromes():
