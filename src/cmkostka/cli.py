@@ -59,13 +59,23 @@ def _kostka_entry(label):
 
 
 def _labels_for(args):
-    """Resolve --partition/--gamma-partition/--n [--N] into a list of labels."""
+    """Resolve --partition/--gamma-partition/--n [--N] into a list of labels.
+
+    --N is a usage error with --partition, and with --gamma-partition unless
+    it equals the label's component count.
+    """
+    N = getattr(args, "N", None)
     if args.partition is not None:
+        if N is not None:
+            raise ValueError("--N does not apply to --partition")
         return [parse_partition(args.partition)]
     if getattr(args, "gamma_partition", None) is not None:
-        return [parse_gamma_partition(args.gamma_partition)]
-    if args.N is not None:
-        return list(enumerate_gamma_partitions(args.N, args.n))
+        label = parse_gamma_partition(args.gamma_partition)
+        if N is not None and N != label.N:
+            raise ValueError(f"--N {N} but {label} has {label.N} components")
+        return [label]
+    if N is not None:
+        return list(enumerate_gamma_partitions(N, args.n))
     return list(enumerate_partitions(args.n))
 
 
@@ -284,7 +294,8 @@ def _add_label_flags(parser, gamma=True):
     if gamma:
         group.add_argument("--gamma-partition", dest="gamma_partition", help='component tuple, e.g. "2,1;-;1"')
     group.add_argument("--n", type=_positive, help="report every label of this total size")
-    parser.add_argument("--N", type=_positive, help="number of components (with --n)")
+    if gamma:
+        parser.add_argument("--N", type=_positive, help="number of components (with --n)")
 
 
 def _add_cm_flags(parser):

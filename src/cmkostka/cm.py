@@ -2,12 +2,16 @@
 
 Everything here is computed over the rationals with no tolerances: matrix
 rank by fraction-free elimination on denominator-cleared integer rows,
-characteristic polynomials by the trace recurrence, and the Grassmannian
-embedding by explicit congruence solving at each eigenvalue.
+characteristic polynomials by the trace recurrence run on integers after
+clearing denominators, and the Grassmannian embedding by explicit congruence
+solving at each eigenvalue.  An embedded subspace's full column rank is
+certified by elimination modulo the prime 2^61 - 1 (rank can only drop
+modulo a prime), with exact elimination as the fallback.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 
 from .partitions import Partition
 
@@ -28,8 +32,17 @@ class NotInAnyCell(RuntimeError):
     """No flag-intersection profile exists: the basis columns are dependent."""
 
 
+_PRIME = 2**61 - 1
+
+
 def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _cleared(entries):
+    """Common denominator d of the rational rows and the integer rows d * entries."""
+    d = lcm(*(x.denominator for row in entries for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
 
 
 class RationalMatrix:
@@ -132,13 +145,7 @@ class RationalMatrix:
 
     def _integer_rows(self):
         # Clear each row's denominators; scaling rows never changes the rank.
-        out = []
-        for row in self.entries:
-            denom_lcm = 1
-            for x in row:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-            out.append([int(x * denom_lcm) for x in row])
-        return out
+        return [_cleared([row])[1][0] for row in self.entries]
 
     def rank(self):
         """Exact rank by fraction-free (Bareiss) elimination with partial pivoting."""
@@ -201,23 +208,57 @@ class RationalMatrix:
     def charpoly(self):
         """Monic characteristic polynomial det(zI - A), coefficients low to high.
 
-        Uses the trace recurrence M_k = A M_{k-1} + c_{n-k+1} I with
-        c_{n-k} = -tr(A M_k)/k, which is exact over the rationals.
+        Uses the trace recurrence M_k = B M_{k-1} + c_{n-k+1} I with
+        c_{n-k} = -tr(B M_k)/k on the integer matrix B = d A, d the common
+        denominator, so every M_k and c is an integer.  Since
+        det(zI - A) = d^-n det(dz I - B), coefficient j is c_j / d^(n-j).
         """
         if self.rows != self.cols:
             raise DimensionMismatch("characteristic polynomial of a non-square matrix")
         n = self.rows
-        ident = RationalMatrix.identity(n)
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        m = ident
+        d, b = _cleared(self.entries)
+        coeffs = [0] * (n + 1)
+        coeffs[n] = 1
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
-            am = self @ m
-            c = -am.trace() / k
+            m_cols = list(zip(*m))
+            bm = [[sum(map(mul, row, col)) for col in m_cols] for row in b]
+            c, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
+            if rem:
+                raise ArithmeticError(f"trace recurrence left remainder {rem} at step {k}")
             coeffs[n - k] = c
             if k < n:
-                m = am + ident.scaled(c)
-        return tuple(coeffs)
+                for i in range(n):
+                    bm[i][i] += c
+                m = bm
+        return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
+
+
+def _full_column_rank(matrix):
+    """Whether the columns are linearly independent over the rationals.
+
+    Elimination modulo the prime 2^61 - 1 certifies full rank, since rank
+    can only drop modulo a prime.  When a column finds no pivot there, or a
+    denominator vanishes modulo the prime, the exact rank decides.
+    """
+    rows = []
+    for row in matrix.entries:
+        if any(x.denominator % _PRIME == 0 for x in row):
+            return matrix.rank() == matrix.cols
+        rows.append(
+            [x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME for x in row]
+        )
+    for c in range(matrix.cols):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            return matrix.rank() == matrix.cols
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, _PRIME)
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] * inv % _PRIME
+            if f:
+                rows[i] = [(a - f * p) % _PRIME for a, p in zip(rows[i], rows[c])]
+    return True
 
 
 class CMPointRegular:
@@ -263,7 +304,7 @@ class EmbeddedPoint:
         n = len(ideal) - 1
         if subspace.rows != 2 * n or subspace.cols != n:
             raise ValueError(f"subspace must be {2 * n}x{n}, got {subspace.rows}x{subspace.cols}")
-        if subspace.rank() != n:
+        if not _full_column_rank(subspace):
             raise ValueError("subspace columns must be linearly independent")
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "subspace", subspace)
@@ -376,6 +417,16 @@ def poly_eval_derivative(coeffs, x):
     return acc
 
 
+def _divide_by_root(coeffs, r):
+    """Quotient of a polynomial by (z - r) by synthetic division; r must be a root."""
+    out = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * r + coeffs[k]
+        out[k - 1] = acc
+    return out
+
+
 def wilson_embed(point):
     """Embed a regular point into the relative Grassmannian.
 
@@ -383,55 +434,57 @@ def wilson_embed(point):
     unique polynomial of degree < 2n congruent to 1 - alpha_i (z - y_i)
     modulo (z - y_i)^2 and to zero modulo (z - y_j)^2 for j != i; it is
     built directly as P_i * g_i where P_i is the product of the other
-    squared factors and g_i is the inverse-linear correction at y_i.
+    squared factors and g_i is the inverse-linear correction at y_i.  Each
+    P_i comes from the square of the ideal by two synthetic divisions.
     """
     y, alpha = point.y, point.alpha
     n = point.n
+    ideal = poly_from_roots(y)
+    square = poly_mul(ideal, ideal)
     columns = []
     for i in range(n):
-        p_i = [Fraction(1)]
-        for j in range(n):
-            if j != i:
-                factor = [-y[j], Fraction(1)]
-                p_i = poly_mul(p_i, poly_mul(factor, factor))
+        p_i = _divide_by_root(_divide_by_root(square, y[i]), y[i])
         a = poly_eval(p_i, y[i])  # product of squared differences, nonzero
         b = poly_eval_derivative(p_i, y[i])
         u = 1 / a
         v = -(alpha[i] / a + b / (a * a))
         # g_i = u + v (z - y_i); then P_i g_i = 1 - alpha_i (z - y_i) mod (z - y_i)^2
         g_i = [u - v * y[i], v]
-        w = poly_mul(p_i, g_i)
-        w += [Fraction(0)] * (2 * n - len(w))
-        columns.append(w)
+        columns.append(poly_mul(p_i, g_i))
     subspace = RationalMatrix([[columns[j][r] for j in range(n)] for r in range(2 * n)])
-    return EmbeddedPoint(poly_from_roots(y), subspace)
+    return EmbeddedPoint(ideal, subspace)
 
 
 def component_line(point, y_i):
     """Project the subspace into the square of the maximal ideal quotient at y_i.
 
     Returns the projected line as a normalized pair (value, derivative) in the
-    basis 1, (z - y_i); y_i must be a root of the ideal.
+    basis 1, (z - y_i); y_i must be a root of the ideal.  Each column is
+    cleared to integers over its common denominator d and, with y_i = a/b,
+    one integer Horner pass gives d b^m p(a/b) and d b^(m-1) p'(a/b); the
+    common factor d b^m cancels in the normalized line.
     """
-    if poly_eval(point.ideal, _frac(y_i)) != 0:
+    y_i = _frac(y_i)
+    if poly_eval(point.ideal, y_i) != 0:
         raise ValueError(f"{y_i} is not a root of the ideal")
+    a, b = y_i.numerator, y_i.denominator
     images = []
-    for j in range(point.subspace.cols):
-        coeffs = [point.subspace.entries[r][j] for r in range(point.subspace.rows)]
-        val = poly_eval(coeffs, _frac(y_i))
-        der = poly_eval_derivative(coeffs, _frac(y_i))
-        if val != 0 or der != 0:
-            images.append((val, der))
+    for column in zip(*point.subspace.entries):
+        _, (coeffs,) = _cleared([column])
+        val, der, b_power = 0, 0, 1
+        for c in reversed(coeffs):
+            der = der * a + val
+            val = val * a + c * b_power
+            b_power *= b
+        if val or der:
+            images.append((val, der * b))
     if not images:
         raise ValueError(f"subspace projects to zero at {y_i}")
     lead_val, lead_der = images[0]
+    if any(val * lead_der != der * lead_val for val, der in images[1:]):
+        raise ValueError(f"projection at {y_i} is not a line")
     scale = lead_val if lead_val != 0 else lead_der
-    line = (lead_val / scale, lead_der / scale)
-    for val, der in images[1:]:
-        s = val if val != 0 else der
-        if (val / s, der / s) != line:
-            raise ValueError(f"projection at {y_i} is not a line")
-    return line
+    return Fraction(lead_val, scale), Fraction(lead_der, scale)
 
 
 def monomial_subspace(exponents, ambient):

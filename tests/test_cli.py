@@ -70,6 +70,24 @@ def test_tangent_text_and_json(capsys):
     assert json.loads(out) == {"lambda": "2,1", "weights": ["-3", "-1", "-1"]}
 
 
+def test_tangent_rejects_components_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tangent", "--n", "2", "--N", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["kostka", "character"])
+def test_components_flag_must_fit_the_label(capsys, command):
+    code, out, err = run_cli(capsys, command, "--partition", "3,1", "--N", "5")
+    assert (code, out) == (2, "") and "--N" in err
+    code, out, err = run_cli(capsys, command, "--gamma-partition", "1;1", "--N", "3")
+    assert (code, out) == (2, "") and "2 components" in err
+    code, out, _ = run_cli(capsys, command, "--gamma-partition", "1;1", "--N", "2")
+    assert code == 0
+    assert out == run_cli(capsys, command, "--gamma-partition", "1;1")[1]
+
+
 def test_schur_p1n_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "schur-p1n", "--n", "3")
     assert code == 0

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmkostka import cm
 from cmkostka.cm import (
     CMPointRegular,
     DimensionMismatch,
@@ -32,6 +33,22 @@ from cmkostka.cm import (
 )
 from cmkostka.characters import fixed_point_exponents
 from cmkostka.partitions import Partition, enumerate_partitions
+
+
+@st.composite
+def rational_matrices(draw, max_n=8):
+    """Square rational matrices, general or with a singular, nilpotent or diagonal shape."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(("general", "singular", "nilpotent", "diagonal")))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular":
+        rows[-1] = [3 * x for x in rows[0]]
+    elif kind == "nilpotent":
+        rows = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "diagonal":
+        rows = [[x if j == i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return RationalMatrix(rows)
 
 
 @st.composite
@@ -372,6 +389,179 @@ def test_profile_errors():
         schubert_profile(RationalMatrix([[1], [0], [0]]))
     with pytest.raises(NotInAnyCell):
         schubert_profile(RationalMatrix([[1, 1], [0, 0], [0, 0], [0, 0]]))
+
+
+def test_charpoly_raises_on_a_trace_remainder(monkeypatch):
+    # An integer matrix always divides exactly; a non-integer "cleared" entry cannot.
+    monkeypatch.setattr(cm, "_cleared", lambda entries: (1, [[Fraction(1, 2)]]))
+    with pytest.raises(ArithmeticError):
+        RationalMatrix([[1]]).charpoly()
+
+
+# -- test-only oracles: the Fraction kernels the integer ones replaced
+
+
+def _trace_recurrence_charpoly(a):
+    """det(zI - A) by the trace recurrence run directly on the Fraction matrix."""
+    n = a.rows
+    ident = RationalMatrix.identity(n)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = ident
+    for k in range(1, n + 1):
+        am = a @ m
+        c = -am.trace() / k
+        coeffs[n - k] = c
+        if k < n:
+            m = am + ident.scaled(c)
+    return tuple(coeffs)
+
+
+def _per_column_embed(point):
+    """(ideal, subspace entries) with each P_i built by n - 1 polynomial products."""
+    y, alpha, n = point.y, point.alpha, point.n
+    columns = []
+    for i in range(n):
+        p_i = [Fraction(1)]
+        for j in range(n):
+            if j != i:
+                factor = [-y[j], Fraction(1)]
+                p_i = poly_mul(p_i, poly_mul(factor, factor))
+        a = poly_eval(p_i, y[i])
+        b = poly_eval_derivative(p_i, y[i])
+        v = -(alpha[i] / a + b / (a * a))
+        w = poly_mul(p_i, [1 / a - v * y[i], v])
+        columns.append(w + [Fraction(0)] * (2 * n - len(w)))
+    return poly_from_roots(y), tuple(tuple(col[r] for col in columns) for r in range(2 * n))
+
+
+def _fraction_horner_line(point, y_i):
+    """The normalized (value, derivative) line by Fraction Horner passes per column."""
+    lines = set()
+    for col in zip(*point.subspace.entries):
+        val, der = poly_eval(list(col), y_i), poly_eval_derivative(list(col), y_i)
+        if val != 0 or der != 0:
+            scale = val if val != 0 else der
+            lines.add((val / scale, der / scale))
+    assert len(lines) == 1
+    return lines.pop()
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_matrices())
+def test_charpoly_matches_fraction_trace_recurrence(a):
+    assert a.charpoly() == _trace_recurrence_charpoly(a)
+
+
+def test_charpoly_matches_oracle_on_fixed_shapes():
+    rng = random.Random(2005)
+    shapes = [RationalMatrix([[Fraction(-7, 3)]]), RationalMatrix([[0]]),
+              RationalMatrix.diagonal([Fraction(1, 2), Fraction(1, 2), -3]),
+              RationalMatrix([[0, Fraction(1, 4), 5], [0, 0, Fraction(2, 9)], [0, 0, 0]]),
+              RationalMatrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 5), 0, 1]])]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        shapes.append(RationalMatrix(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        ))
+    for a in shapes:
+        assert a.charpoly() == _trace_recurrence_charpoly(a)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(2006)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).charpoly(z)
+        assert RationalMatrix(rows).charpoly() == tuple(
+            Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())
+        )
+
+
+@settings(deadline=None, max_examples=40)
+@given(regular_points(max_n=8))
+def test_embedding_matches_per_column_oracle(point):
+    embedded = wilson_embed(point)
+    assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
+    for y_i in point.y:
+        assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    rational_matrices(max_n=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.sampled_from([(1, 0), (0, 1), (2, Fraction(-1, 3))]),
+)
+def test_component_line_matches_fraction_horner(a, root, line):
+    """Column j is (j + 1)(val + der (z - root)) + (z - root)^2 r_j with r_j row j of a,
+    so every column projects onto the line (val, der) at the root."""
+    n = a.rows
+    val, der = line
+    square = poly_mul([-root, 1], [-root, 1])
+    columns = []
+    for j, row in enumerate(a.entries):
+        col = (poly_mul(square, list(row)) + [0] * n)[: 2 * n]
+        col[0] += (j + 1) * (val - der * root)
+        col[1] += (j + 1) * der
+        columns.append(col)
+    subspace = RationalMatrix([[col[r] for col in columns] for r in range(2 * n)])
+    assume(subspace.rank() == n)
+    embedded = EmbeddedPoint(poly_from_roots([root + k for k in range(n)]), subspace)
+    assert component_line(embedded, root) == _fraction_horner_line(embedded, root)
+
+
+# -- the full-column-rank certificate and its exact fallback
+
+
+def _rank_calls(monkeypatch):
+    calls = []
+    exact = RationalMatrix.rank
+
+    def spy(self):
+        calls.append((self.rows, self.cols))
+        return exact(self)
+
+    monkeypatch.setattr(RationalMatrix, "rank", spy)
+    return calls
+
+
+def test_full_rank_certificate_skips_exact_rank(monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    wilson_embed(CMPointRegular([0, 1, Fraction(5, 2)], [Fraction(1, 2), -2, 0]))
+    assert calls == []
+
+
+def test_column_zero_mod_p_falls_back_and_is_accepted(monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    EmbeddedPoint((0, 1), RationalMatrix([[cm._PRIME], [0]]))
+    assert calls == [(2, 1)]
+
+
+def test_denominator_divisible_by_p_falls_back(monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    EmbeddedPoint((0, 1), RationalMatrix([[Fraction(1, cm._PRIME)], [1]]))
+    assert calls == [(2, 1)]
+
+
+def test_dependent_columns_fall_back_and_are_rejected(monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    dependent = RationalMatrix([[1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 0], [5, 10]])
+    with pytest.raises(ValueError, match="linearly independent"):
+        EmbeddedPoint((0, -1, 1), dependent)
+    assert calls == [(4, 2)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_matrices(max_n=6))
+def test_full_rank_verdict_matches_exact_rank(a):
+    # a square matrix over a zero block is a 2n x n subspace of the same rank
+    n = a.rows
+    subspace = RationalMatrix([list(row) for row in a.entries] + [[0] * n for _ in range(n)])
+    assert cm._full_column_rank(subspace) == (a.rank() == n)
 
 
 # -- randomized properties
