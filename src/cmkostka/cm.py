@@ -1,12 +1,15 @@
 """Exact rational matrix pairs satisfying the rank-one commutator condition.
 
-Everything here is computed over the rationals with no tolerances: matrix
-rank by fraction-free elimination on denominator-cleared integer rows,
-characteristic polynomials by the trace recurrence run on integers after
-clearing denominators, and the Grassmannian embedding by explicit congruence
-solving at each eigenvalue.  An embedded subspace's full column rank is
-certified by elimination modulo the prime 2^61 - 1 (rank can only drop
-modulo a prime), with exact elimination as the fallback.
+Everything here is computed over the rationals with no tolerances, and the
+kernels run on integers after clearing denominators: matrix rank by
+fraction-free elimination on denominator-cleared integer rows, the
+commutator on the cleared X and Y, characteristic polynomials by the trace
+recurrence, and the Grassmannian embedding by explicit congruence solving at
+each eigenvalue, over the common denominator of the eigenvalues.  An
+embedded subspace's full column rank is certified modulo the prime
+2^61 - 1 from its column-cleared integers (rank can only drop modulo a
+prime), with exact elimination as the fallback only when a column finds no
+pivot there.
 """
 
 from fractions import Fraction
@@ -234,30 +237,33 @@ class RationalMatrix:
         return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
 
 
-def _full_column_rank(matrix):
+def _cleared_columns(matrix):
+    """Each column cleared to integers over its own common denominator."""
+    return tuple(tuple(_cleared([column])[1][0]) for column in zip(*matrix.entries))
+
+
+def _full_column_rank(matrix, columns=None):
     """Whether the columns are linearly independent over the rationals.
 
-    Elimination modulo the prime 2^61 - 1 certifies full rank, since rank
-    can only drop modulo a prime.  When a column finds no pivot there, or a
-    denominator vanishes modulo the prime, the exact rank decides.
+    Fraction-free elimination modulo the prime 2^61 - 1 on the
+    column-cleared integers certifies full rank, since scaling a column
+    keeps the rank and rank can only drop modulo a prime.  When a column
+    finds no pivot there, the exact rank decides.
     """
-    rows = []
-    for row in matrix.entries:
-        if any(x.denominator % _PRIME == 0 for x in row):
-            return matrix.rank() == matrix.cols
-        rows.append(
-            [x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME for x in row]
-        )
+    if columns is None:
+        columns = _cleared_columns(matrix)
+    rows = [[x % _PRIME for x in row] for row in zip(*columns)]
     for c in range(matrix.cols):
         pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if pivot is None:
             return matrix.rank() == matrix.cols
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, _PRIME)
+        lead = rows[c]
+        p = lead[c]
         for i in range(c + 1, len(rows)):
-            f = rows[i][c] * inv % _PRIME
+            f = rows[i][c]
             if f:
-                rows[i] = [(a - f * p) % _PRIME for a, p in zip(rows[i], rows[c])]
+                rows[i] = [(a * p - f * b) % _PRIME for a, b in zip(rows[i], lead)]
     return True
 
 
@@ -293,9 +299,10 @@ class CMPointRegular:
 class EmbeddedPoint:
     """A codimension-n ideal (monic, as low-to-high coefficients) together with
     an n-dimensional subspace of the 2n-dimensional quotient, columns in the
-    monomial basis 1, z, ..., z^(2n-1)."""
+    monomial basis 1, z, ..., z^(2n-1).  Each column is also kept cleared to
+    integers over its own common denominator."""
 
-    __slots__ = ("ideal", "subspace")
+    __slots__ = ("ideal", "subspace", "_columns")
 
     def __init__(self, ideal, subspace):
         ideal = tuple(_frac(c) for c in ideal)
@@ -304,10 +311,12 @@ class EmbeddedPoint:
         n = len(ideal) - 1
         if subspace.rows != 2 * n or subspace.cols != n:
             raise ValueError(f"subspace must be {2 * n}x{n}, got {subspace.rows}x{subspace.cols}")
-        if not _full_column_rank(subspace):
+        columns = _cleared_columns(subspace)
+        if not _full_column_rank(subspace, columns):
             raise ValueError("subspace columns must be linearly independent")
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedPoint is immutable")
@@ -319,19 +328,14 @@ class EmbeddedPoint:
 
 def wilson_representative(point):
     """Normal form (X, Y) of a regular point: Y diagonal, X with reciprocal
-    eigenvalue differences off the diagonal and the alphas on it."""
-    y, alpha = point.y, point.alpha
-    n = point.n
-    x_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(alpha[i])
-            else:
-                row.append(1 / (y[i] - y[j]))
-        x_rows.append(row)
-    return RationalMatrix(x_rows), RationalMatrix.diagonal(y)
+    eigenvalue differences off the diagonal and the alphas on it.  With d the
+    common denominator of the eigenvalues and a_i = d y_i, x_ij = d/(a_i - a_j)."""
+    d, (a,) = _cleared([point.y])
+    x_rows = [
+        [point.alpha[i] if i == j else Fraction(d, a_i - a_j) for j, a_j in enumerate(a)]
+        for i, a_i in enumerate(a)
+    ]
+    return RationalMatrix(x_rows), RationalMatrix.diagonal(point.y)
 
 
 def commutator_plus_identity(x, y):
@@ -339,11 +343,28 @@ def commutator_plus_identity(x, y):
 
     The orientation matters: with the normal form (x_ij = 1/(y_i - y_j),
     Y diagonal) this is the all-ones matrix, visibly of rank one, while the
-    opposite order has full rank as soon as n is at least 3.
+    opposite order has full rank as soon as n is at least 3.  X and Y are
+    cleared to the integer matrices dx X and dy Y, whose commutator is
+    dx dy (YX - XY).
     """
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
-    return (y @ x) - (x @ y) + RationalMatrix.identity(x.rows)
+    dx, x_rows = _cleared(x.entries)
+    dy, y_rows = _cleared(y.entries)
+    scale = dx * dy
+    x_cols, y_cols = list(zip(*x_rows)), list(zip(*y_rows))
+    return RationalMatrix(
+        [
+            [
+                Fraction(
+                    sum(map(mul, y_row, x_col)) - sum(map(mul, x_row, y_col)) + (scale if i == j else 0),
+                    scale,
+                )
+                for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols))
+            ]
+            for i, (x_row, y_row) in enumerate(zip(x_rows, y_rows))
+        ]
+    )
 
 
 def verify_cm(x, y):
@@ -418,13 +439,29 @@ def poly_eval_derivative(coeffs, x):
 
 
 def _divide_by_root(coeffs, r):
-    """Quotient of a polynomial by (z - r) by synthetic division; r must be a root."""
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
+    """Quotient of an integer polynomial by (w - r) by synthetic division.
+
+    Raises ArithmeticError unless r is a root.
+    """
+    out = [0] * (len(coeffs) - 1)
+    acc = 0
     for k in range(len(coeffs) - 1, 0, -1):
         acc = acc * r + coeffs[k]
         out[k - 1] = acc
+    remainder = acc * r + coeffs[0]
+    if remainder:
+        raise ArithmeticError(f"synthetic division by w - {r} left remainder {remainder}")
     return out
+
+
+def _scaled_value_and_derivative(coeffs, a, b):
+    """b^m p(a/b) and b^m p'(a/b) for integer coefficients of p, m = len - 1."""
+    val, der, b_power = 0, 0, 1
+    for c in reversed(coeffs):
+        der = der * a + val
+        val = val * a + c * b_power
+        b_power *= b
+    return val, der * b
 
 
 def wilson_embed(point):
@@ -434,50 +471,59 @@ def wilson_embed(point):
     unique polynomial of degree < 2n congruent to 1 - alpha_i (z - y_i)
     modulo (z - y_i)^2 and to zero modulo (z - y_j)^2 for j != i; it is
     built directly as P_i * g_i where P_i is the product of the other
-    squared factors and g_i is the inverse-linear correction at y_i.  Each
-    P_i comes from the square of the ideal by two synthetic divisions.
+    squared factors and g_i is the inverse-linear correction at y_i.
+
+    The work runs on integers in w = D z, D the common denominator of the
+    eigenvalues and a_i = D y_i: Q(w) = prod (w - a_j), and each
+    R_i = Q^2 / (w - a_i)^2 comes from two synthetic divisions.  With
+    A = R_i(a_i), B = R_i'(a_i) and alpha_i = s/t, column i is
+    R_i(w) (A D t - (s A + B D t)(w - a_i)) / (A^2 D t), so its z^k
+    coefficient is h_k D^k / (A^2 D t); ideal coefficient k is q_k / D^(n-k).
     """
-    y, alpha = point.y, point.alpha
     n = point.n
-    ideal = poly_from_roots(y)
-    square = poly_mul(ideal, ideal)
+    d, (a,) = _cleared([point.y])
+    d_powers = [d**k for k in range(2 * n)]
+    q = [1]
+    for r in a:
+        q = [lo - r * hi for lo, hi in zip([0] + q, q + [0])]
+    square = [0] * (2 * n + 1)
+    for i, qi in enumerate(q):
+        for j, qj in enumerate(q):
+            square[i + j] += qi * qj
     columns = []
-    for i in range(n):
-        p_i = _divide_by_root(_divide_by_root(square, y[i]), y[i])
-        a = poly_eval(p_i, y[i])  # product of squared differences, nonzero
-        b = poly_eval_derivative(p_i, y[i])
-        u = 1 / a
-        v = -(alpha[i] / a + b / (a * a))
-        # g_i = u + v (z - y_i); then P_i g_i = 1 - alpha_i (z - y_i) mod (z - y_i)^2
-        g_i = [u - v * y[i], v]
-        columns.append(poly_mul(p_i, g_i))
-    subspace = RationalMatrix([[columns[j][r] for j in range(n)] for r in range(2 * n)])
-    return EmbeddedPoint(ideal, subspace)
+    for a_i, alpha_i in zip(a, point.alpha):
+        r_i = _divide_by_root(_divide_by_root(square, a_i), a_i)
+        big_a, big_b = _scaled_value_and_derivative(r_i, a_i, 1)  # A is nonzero
+        dt = d * alpha_i.denominator
+        slope = alpha_i.numerator * big_a + big_b * dt
+        constant = big_a * dt + slope * a_i  # h = R_i(w) (constant - slope w)
+        h = [constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)]
+        den = big_a * big_a * dt
+        columns.append([Fraction(h_k * d_k, den) for h_k, d_k in zip(h, d_powers)])
+    ideal = tuple(Fraction(q_k, d_powers[n - k]) for k, q_k in enumerate(q))
+    return EmbeddedPoint(ideal, RationalMatrix(list(zip(*columns))))
 
 
 def component_line(point, y_i):
     """Project the subspace into the square of the maximal ideal quotient at y_i.
 
     Returns the projected line as a normalized pair (value, derivative) in the
-    basis 1, (z - y_i); y_i must be a root of the ideal.  Each column is
-    cleared to integers over its common denominator d and, with y_i = a/b,
-    one integer Horner pass gives d b^m p(a/b) and d b^(m-1) p'(a/b); the
-    common factor d b^m cancels in the normalized line.
+    basis 1, (z - y_i); y_i must be a root of the ideal.  With y_i = a/b, one
+    integer Horner pass over each of the point's column-cleared integer
+    columns gives b^m (p(a/b), p'(a/b)); the column's common denominator and
+    b^m cancel in the normalized line.  The root test runs the same pass on
+    the integer-cleared ideal.
     """
     y_i = _frac(y_i)
-    if poly_eval(point.ideal, y_i) != 0:
-        raise ValueError(f"{y_i} is not a root of the ideal")
     a, b = y_i.numerator, y_i.denominator
+    _, (ideal,) = _cleared([point.ideal])
+    if _scaled_value_and_derivative(ideal, a, b)[0]:
+        raise ValueError(f"{y_i} is not a root of the ideal")
     images = []
-    for column in zip(*point.subspace.entries):
-        _, (coeffs,) = _cleared([column])
-        val, der, b_power = 0, 0, 1
-        for c in reversed(coeffs):
-            der = der * a + val
-            val = val * a + c * b_power
-            b_power *= b
+    for coeffs in point._columns:
+        val, der = _scaled_value_and_derivative(coeffs, a, b)
         if val or der:
-            images.append((val, der * b))
+            images.append((val, der))
     if not images:
         raise ValueError(f"subspace projects to zero at {y_i}")
     lead_val, lead_der = images[0]

@@ -29,7 +29,6 @@ from .cm import (
     monomial_subspace,
     poly_from_roots,
     poly_mul,
-    projections,
     schubert_profile,
     verify_cm,
     wilson_embed,
@@ -432,7 +431,7 @@ def _check_eigenvalue_polynomial(lim):
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         items += 1
         x, y = wilson_representative(point)
-        _, char_y = projections(x, y)
+        char_y = y.charpoly()
         expected = poly_from_roots(point.y)
         if char_y != expected:
             return items, f"y={[str(v) for v in point.y]}: characteristic polynomial mismatch"

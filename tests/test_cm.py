@@ -36,9 +36,10 @@ from cmkostka.partitions import Partition, enumerate_partitions
 
 
 @st.composite
-def rational_matrices(draw, max_n=8):
+def rational_matrices(draw, max_n=8, n=None):
     """Square rational matrices, general or with a singular, nilpotent or diagonal shape."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=max_n))
     kind = draw(st.sampled_from(("general", "singular", "nilpotent", "diagonal")))
     entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -64,6 +65,23 @@ def regular_points(draw, max_n=4):
         )
     )
     return CMPointRegular([Fraction(v, den) for v in numerators], alpha)
+
+
+@st.composite
+def matrix_pairs(draw, max_n=6):
+    """Two square rational matrices of one size, each of any shape."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return draw(rational_matrices(n=n)), draw(rational_matrices(n=n))
+
+
+def _seeded_point(rng, n):
+    """A regular point whose eigenvalues and alphas have mixed denominators up to 7."""
+    y = set()
+    while len(y) < n:
+        y.add(Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
+    y = sorted(y)
+    rng.shuffle(y)
+    return CMPointRegular(y, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)])
 
 
 # -- RationalMatrix
@@ -301,6 +319,15 @@ def test_embedded_point_validation():
         EmbeddedPoint((0, -1, 1), RationalMatrix([[1, 2], [0, 0], [0, 0], [0, 0]]))
 
 
+def test_embedded_point_is_immutable():
+    point = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(-2, 3)]))
+    for name in ("ideal", "subspace", "_columns"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, ())
+    with pytest.raises(AttributeError):
+        point.extra = 1
+
+
 def test_component_line_errors():
     degenerate = EmbeddedPoint(
         (0, -1, 1),
@@ -312,6 +339,10 @@ def test_component_line_errors():
         component_line(degenerate, 0)
     with pytest.raises(ValueError):
         component_line(degenerate, 1)
+    embedded = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(2, 3)]))
+    for not_a_root in (Fraction(1, 3), 2, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="not a root"):
+            component_line(embedded, not_a_root)
 
 
 # -- Schubert profiles
@@ -391,6 +422,14 @@ def test_profile_errors():
         schubert_profile(RationalMatrix([[1, 1], [0, 0], [0, 0], [0, 0]]))
 
 
+def test_synthetic_division_by_a_non_root_raises():
+    assert cm._divide_by_root([-1, 0, 1], 1) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        cm._divide_by_root([1, 0, 1], 1)
+    with pytest.raises(ArithmeticError):
+        cm._divide_by_root([-4, 0, 1], -3)
+
+
 def test_charpoly_raises_on_a_trace_remainder(monkeypatch):
     # An integer matrix always divides exactly; a non-integer "cleared" entry cannot.
     monkeypatch.setattr(cm, "_cleared", lambda entries: (1, [[Fraction(1, 2)]]))
@@ -433,6 +472,17 @@ def _per_column_embed(point):
         w = poly_mul(p_i, [1 / a - v * y[i], v])
         columns.append(w + [Fraction(0)] * (2 * n - len(w)))
     return poly_from_roots(y), tuple(tuple(col[r] for col in columns) for r in range(2 * n))
+
+
+def _fraction_commutator(x, y):
+    """YX - XY + Id from Fraction matrix products."""
+    return (y @ x) - (x @ y) + RationalMatrix.identity(x.rows)
+
+
+def _fraction_normal_form(point):
+    """The X entries of the normal form: alpha_i on the diagonal, 1/(y_i - y_j) off it."""
+    y, alpha, n = point.y, point.alpha, point.n
+    return tuple(tuple(alpha[i] if i == j else 1 / (y[i] - y[j]) for j in range(n)) for i in range(n))
 
 
 def _fraction_horner_line(point, y_i):
@@ -490,6 +540,40 @@ def test_embedding_matches_per_column_oracle(point):
         assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
 
+def test_embedding_matches_per_column_oracle_at_large_sizes():
+    rng = random.Random(2012)
+    for n in (12, 16, 20):
+        point = _seeded_point(rng, n)
+        embedded = wilson_embed(point)
+        assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
+        for y_i in point.y:
+            assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
+
+
+@settings(deadline=None, max_examples=40)
+@given(matrix_pairs())
+def test_commutator_matches_fraction_products(pair):
+    x, y = pair
+    assert commutator_plus_identity(x, y) == _fraction_commutator(x, y)
+
+
+def test_commutator_matches_fraction_products_on_normal_forms():
+    rng = random.Random(2013)
+    for n in (1, 2, 5, 9, 13):
+        x, y = wilson_representative(_seeded_point(rng, n))
+        for pair in ((x, y), involution(x, y), cstar_act(Fraction(-3, 2), x, y)):
+            assert commutator_plus_identity(*pair) == _fraction_commutator(*pair)
+
+
+def test_normal_form_matches_fraction_differences():
+    rng = random.Random(2014)
+    for n in (1, 2, 3, 7, 12, 20):
+        point = _seeded_point(rng, n)
+        x, y = wilson_representative(point)
+        assert x.entries == _fraction_normal_form(point)
+        assert y == RationalMatrix.diagonal(point.y)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     rational_matrices(max_n=4),
@@ -541,9 +625,17 @@ def test_column_zero_mod_p_falls_back_and_is_accepted(monkeypatch):
     assert calls == [(2, 1)]
 
 
-def test_denominator_divisible_by_p_falls_back(monkeypatch):
+def test_denominator_divisible_by_p_is_certified_without_fallback(monkeypatch):
+    # column-cleared to the integers (1, p): a pivot mod p, no modular inverse needed
     calls = _rank_calls(monkeypatch)
     EmbeddedPoint((0, 1), RationalMatrix([[Fraction(1, cm._PRIME)], [1]]))
+    assert calls == []
+
+
+def test_column_cleared_to_zero_mod_p_falls_back_and_is_accepted(monkeypatch):
+    # column-cleared to the integers (p, 0), which vanish mod p
+    calls = _rank_calls(monkeypatch)
+    EmbeddedPoint((0, 1), RationalMatrix([[Fraction(cm._PRIME, 3)], [0]]))
     assert calls == [(2, 1)]
 
 
