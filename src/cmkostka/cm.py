@@ -3,13 +3,14 @@
 Everything here is computed over the rationals with no tolerances, and the
 kernels run on integers after clearing denominators: matrix rank by
 fraction-free elimination on denominator-cleared integer rows, the
-commutator on the cleared X and Y, characteristic polynomials by the trace
-recurrence, and the Grassmannian embedding by explicit congruence solving at
-each eigenvalue, over the common denominator of the eigenvalues.  An
-embedded subspace's full column rank is certified modulo the prime
-2^61 - 1 from its column-cleared integers (rank can only drop modulo a
-prime), with exact elimination as the fallback only when a column finds no
-pivot there.
+commutator on the cleared X and Y, characteristic polynomials by
+division-free Berkowitz on the cleared matrix, and the Grassmannian
+embedding by explicit congruence solving at each eigenvalue, over the common
+denominator of the eigenvalues.  An embedded subspace's full column rank is
+certified modulo the prime 2^61 - 1 from its column-cleared integers (rank
+can only drop modulo a prime), with exact elimination as the fallback only
+when a column finds no pivot there.  Entries and scalars must be Fraction or
+int; anything else raises TypeError rather than being coerced.
 """
 
 from fractions import Fraction
@@ -39,7 +40,12 @@ _PRIME = 2**61 - 1
 
 
 def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; only Fraction and int (bool included) are exact inputs."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected a Fraction or an int, got {type(x).__name__} {x!r}")
 
 
 def _cleared(entries):
@@ -211,30 +217,29 @@ class RationalMatrix:
     def charpoly(self):
         """Monic characteristic polynomial det(zI - A), coefficients low to high.
 
-        Uses the trace recurrence M_k = B M_{k-1} + c_{n-k+1} I with
-        c_{n-k} = -tr(B M_k)/k on the integer matrix B = d A, d the common
-        denominator, so every M_k and c is an integer.  Since
-        det(zI - A) = d^-n det(dz I - B), coefficient j is c_j / d^(n-j).
+        Division-free Berkowitz on the integer matrix B = d A, d the common
+        denominator.  Write the leading (k+1) x (k+1) block of B as the k x k
+        block B_k bordered by the column c, the row r and the corner b; then
+        det(zI - B_{k+1}) is the lower-triangular Toeplitz matrix with first
+        column (1, -b, -r c, -r B_k c, ..., -r B_k^(k-1) c) times
+        det(zI - B_k), so step k costs k - 1 integer matrix-vector products.
+        Since det(zI - A) = d^-n det(dz I - B), coefficient j is c_j / d^(n-j).
         """
         if self.rows != self.cols:
             raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-        n = self.rows
         d, b = _cleared(self.entries)
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            m_cols = list(zip(*m))
-            bm = [[sum(map(mul, row, col)) for col in m_cols] for row in b]
-            c, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
-            if rem:
-                raise ArithmeticError(f"trace recurrence left remainder {rem} at step {k}")
-            coeffs[n - k] = c
-            if k < n:
-                for i in range(n):
-                    bm[i][i] += c
-                m = bm
-        return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
+        poly = [1]  # det(zI - B_k), coefficients high to low
+        for k, row in enumerate(b):
+            # v has k entries, so map(mul, ..., v) reads only the first k of a row
+            leading = b[:k]
+            v = [b_i[k] for b_i in leading]
+            toeplitz = [1, -row[k]]
+            for j in range(k):
+                if j:
+                    v = [sum(map(mul, b_i, v)) for b_i in leading]
+                toeplitz.append(-sum(map(mul, row, v)))
+            poly = [sum(map(mul, poly, toeplitz[i::-1])) for i in range(k + 2)]
+        return tuple(Fraction(c, d ** j) for j, c in enumerate(poly))[::-1]
 
 
 def _cleared_columns(matrix):

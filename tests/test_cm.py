@@ -155,6 +155,35 @@ def test_charpoly_roots_are_eigenvalues():
         assert poly_eval(list(coeffs), root) == 0
 
 
+def test_inexact_inputs_are_rejected_not_coerced():
+    x, y = wilson_representative(CMPointRegular([0, 1], [0, 0]))
+    embedded = wilson_embed(CMPointRegular([0, 1], [0, 0]))
+    for bad in (0.1, "1/3", 1.0, None, 1j):
+        with pytest.raises(TypeError):
+            RationalMatrix([[1, bad]])
+        with pytest.raises(TypeError):
+            RationalMatrix.diagonal([bad])
+        with pytest.raises(TypeError):
+            CMPointRegular([0, bad], [0, 0])
+        with pytest.raises(TypeError):
+            CMPointRegular([0, 1], [bad, 0])
+        with pytest.raises(TypeError):
+            EmbeddedPoint((bad, 1), RationalMatrix([[1], [0]]))
+        with pytest.raises(TypeError):
+            cstar_act(bad, x, y)
+        with pytest.raises(TypeError):
+            x.scaled(bad)
+        with pytest.raises(TypeError):
+            poly_from_roots([0, bad])
+        with pytest.raises(TypeError):
+            component_line(embedded, bad)
+    # Fraction and int, bool included, are exact and accepted
+    assert RationalMatrix([[True, Fraction(1, 2)]]).entries == ((1, Fraction(1, 2)),)
+    assert CMPointRegular([False, 1], [Fraction(1, 3), 2]).y == (0, 1)
+    assert poly_from_roots([True]) == (-1, 1)
+    assert component_line(embedded, 1) == (1, 0)
+
+
 # -- points and the rank-one condition
 
 
@@ -430,13 +459,6 @@ def test_synthetic_division_by_a_non_root_raises():
         cm._divide_by_root([-4, 0, 1], -3)
 
 
-def test_charpoly_raises_on_a_trace_remainder(monkeypatch):
-    # An integer matrix always divides exactly; a non-integer "cleared" entry cannot.
-    monkeypatch.setattr(cm, "_cleared", lambda entries: (1, [[Fraction(1, 2)]]))
-    with pytest.raises(ArithmeticError):
-        RationalMatrix([[1]]).charpoly()
-
-
 # -- test-only oracles: the Fraction kernels the integer ones replaced
 
 
@@ -503,6 +525,27 @@ def test_charpoly_matches_fraction_trace_recurrence(a):
     assert a.charpoly() == _trace_recurrence_charpoly(a)
 
 
+def _border_zero_shapes(rng, n):
+    """Matrices whose border row or column in the Berkowitz recurrence vanishes at some step:
+    lower and upper triangular, block upper and block lower triangular, and a general
+    matrix with one zero border row and one zero border column at chosen steps."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    def shaped(keep):
+        return RationalMatrix([[entry() if keep(i, j) else 0 for j in range(n)] for i in range(n)])
+
+    h = n // 2
+    row_step, col_step = rng.randrange(n), rng.randrange(n)
+    return [
+        shaped(lambda i, j: j <= i),
+        shaped(lambda i, j: j >= i),
+        shaped(lambda i, j: i < h or j >= h),
+        shaped(lambda i, j: i >= h or j < h),
+        shaped(lambda i, j: not (i == row_step and j < i) and not (j == col_step and i < j)),
+    ]
+
+
 def test_charpoly_matches_oracle_on_fixed_shapes():
     rng = random.Random(2005)
     shapes = [RationalMatrix([[Fraction(-7, 3)]]), RationalMatrix([[0]]),
@@ -514,21 +557,39 @@ def test_charpoly_matches_oracle_on_fixed_shapes():
         shapes.append(RationalMatrix(
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
         ))
+    for n in (2, 3, 5, 8):
+        shapes.extend(_border_zero_shapes(rng, n))
     for a in shapes:
         assert a.charpoly() == _trace_recurrence_charpoly(a)
+    # triangular: the characteristic polynomial is the product over the diagonal
+    for a in _border_zero_shapes(rng, 6)[:2]:
+        assert a.charpoly() == poly_from_roots([a.entries[i][i] for i in range(6)])
+
+
+def test_charpoly_matches_oracles_on_large_normal_forms():
+    """The cm-pairs sizes, where the integer entries grow largest."""
+    rng = random.Random(2016)
+    for n in (12, 16, 20):
+        x, y = wilson_representative(_seeded_point(rng, n))
+        assert x.charpoly() == _trace_recurrence_charpoly(x)
+        assert y.charpoly() == _trace_recurrence_charpoly(y)
 
 
 def test_charpoly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
     rng = random.Random(2006)
+    matrices = []
     for _ in range(25):
         n = rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
-        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).charpoly(z)
-        assert RationalMatrix(rows).charpoly() == tuple(
-            Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())
-        )
+        matrices.append(RationalMatrix(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        ))
+    # X of normal forms at the cm-pairs sizes, where the integer entries grow largest
+    matrices += [wilson_representative(_seeded_point(rng, n))[0] for n in (12, 16, 20)]
+    for a in matrices:
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.entries]).charpoly(z)
+        assert a.charpoly() == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))
 
 
 @settings(deadline=None, max_examples=40)
