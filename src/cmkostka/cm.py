@@ -1,8 +1,9 @@
 """Exact rational matrix pairs satisfying the rank-one commutator condition.
 
 Everything here is computed over the rationals with no tolerances, and the
-kernels run on integers after clearing denominators: matrix rank by
-fraction-free elimination on denominator-cleared integer rows, the
+kernels run on integers after clearing denominators: one fraction-free
+(Bareiss) elimination on denominator-cleared integer rows gives the pivot
+columns that both matrix rank and the Schubert profile read, the
 commutator on the cleared X and Y, characteristic polynomials by
 division-free Berkowitz on the cleared matrix, and the Grassmannian
 embedding by explicit congruence solving at each eigenvalue, over the common
@@ -15,7 +16,7 @@ int; anything else raises TypeError rather than being coerced.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .partitions import Partition
 
@@ -75,9 +76,7 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n):
-        return RationalMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return RationalMatrix.diagonal([1] * n)
 
     @staticmethod
     def diagonal(values):
@@ -88,12 +87,7 @@ class RationalMatrix:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, RationalMatrix) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
@@ -101,25 +95,16 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, row)) for row in self.entries]})"
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, symbol):
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return RationalMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+            raise DimensionMismatch(f"{self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}")
+        return RationalMatrix([map(op, row, other_row) for row, other_row in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "+")
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        return RationalMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self._entrywise(other, sub, "-")
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -143,26 +128,26 @@ class RationalMatrix:
         return RationalMatrix([[c * x for x in row] for row in self.entries])
 
     def transpose(self):
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return RationalMatrix(zip(*self.entries))
 
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
-    def _integer_rows(self):
-        # Clear each row's denominators; scaling rows never changes the rank.
-        return [_cleared([row])[1][0] for row in self.entries]
+    def _pivot_columns(self):
+        """Pivot columns of the row echelon form, by fraction-free (Bareiss)
+        elimination with partial pivoting on the row-cleared integers.
 
-    def rank(self):
-        """Exact rank by fraction-free (Bareiss) elimination with partial pivoting."""
-        m = self._integer_rows()
+        Column c is a pivot exactly when it is independent of the columns
+        before it, so the list does not depend on which rows pivot.
+        """
+        m = [_cleared([row])[1][0] for row in self.entries]  # scaling rows keeps the pivots
         rows, cols = self.rows, self.cols
-        r = 0
+        pivots = []
         prev = 1
         for c in range(cols):
+            r = len(pivots)
             if r == rows:
                 break
             pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
@@ -174,45 +159,12 @@ class RationalMatrix:
                     m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
                 m[i][c] = 0
             prev = m[r][c]
-            r += 1
-        return r
-
-    def rref(self):
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             pivots.append(c)
-            r += 1
-        return RationalMatrix(m), pivots
+        return pivots
 
-    def nullspace(self):
-        """Basis of the kernel, one tuple per free column."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for r, c in enumerate(pivots):
-                vec[c] = -reduced.entries[r][free]
-            basis.append(tuple(vec))
-        return basis
+    def rank(self):
+        """Exact rank: the number of Bareiss pivot columns."""
+        return len(self._pivot_columns())
 
     def charpoly(self):
         """Monic characteristic polynomial det(zI - A), coefficients low to high.
@@ -247,7 +199,7 @@ def _cleared_columns(matrix):
     return tuple(tuple(_cleared([column])[1][0]) for column in zip(*matrix.entries))
 
 
-def _full_column_rank(matrix, columns=None):
+def _full_column_rank(matrix, columns):
     """Whether the columns are linearly independent over the rationals.
 
     Fraction-free elimination modulo the prime 2^61 - 1 on the
@@ -255,8 +207,6 @@ def _full_column_rank(matrix, columns=None):
     keeps the rank and rank can only drop modulo a prime.  When a column
     finds no pivot there, the exact rank decides.
     """
-    if columns is None:
-        columns = _cleared_columns(matrix)
     rows = [[x % _PRIME for x in row] for row in zip(*columns)]
     for c in range(matrix.cols):
         pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
@@ -429,20 +379,6 @@ def poly_from_roots(roots):
     return tuple(out)
 
 
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_eval_derivative(coeffs, x):
-    acc = Fraction(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + k * coeffs[k]
-    return acc
-
-
 def _divide_by_root(coeffs, r):
     """Quotient of an integer polynomial by (w - r) by synthetic division.
 
@@ -560,9 +496,9 @@ def schubert_profile(subspace):
             f"need an n-dimensional subspace of a 2n-dimensional space, got {subspace.rows}x{subspace.cols}"
         )
     n = subspace.cols
-    # dim(W meet F_j) counts the echelon pivots p >= 2n - j, so step j is a jump
+    # dim(W meet F_j) counts the Bareiss pivots p >= 2n - j, so step j is a jump
     # exactly when 2n - j is a pivot column of the transposed basis.
-    _, pivots = subspace.transpose().rref()
+    pivots = subspace.transpose()._pivot_columns()
     if len(pivots) != n:
         raise NotInAnyCell("basis columns are dependent")
     jumps = sorted(2 * n - p for p in pivots)

@@ -66,15 +66,18 @@ def expand_p1n_wreath(N, n):
     return SchurExpansion(n, coeffs)
 
 
-def multiplicity_identity_check(N, n, max_N=4, max_n=6):
+_MAX_N, _MAX_n = 4, 6  # largest N and n that multiplicity_identity_check accepts
+
+
+def multiplicity_identity_check(N, n):
     """Check the dimension bookkeeping on every N-tuple label of total size n.
 
     For each label: n! divided by the product of all component hooks must be
     an exact integer, equal to the multinomial times the component tableau
     counts, and equal to the wreath Kostka polynomial at q = 1.
     """
-    if N > max_N or n > max_n:
-        raise ValueError(f"bounds exceeded: N={N} n={n} beyond ({max_N}, {max_n})")
+    if N > _MAX_N or n > _MAX_n:
+        raise ValueError(f"bounds exceeded: N={N} n={n} beyond ({_MAX_N}, {_MAX_n})")
     for gp in enumerate_gamma_partitions(N, n):
         hook_prod = 1
         for comp in gp.components:

@@ -7,6 +7,7 @@ name, so results do not depend on execution order.  A check that raises
 counts as failed, with the exception named in its detail.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +77,7 @@ class _Limits:
         return default if self.n is None else min(default, self.n)
 
     def cap_N(self, default):
-        return default if self.N is None else max(1, min(default, self.N))
+        return default if self.N is None else min(default, self.N)
 
     def rng(self, name):
         return random.Random(f"{self.seed}:{name}")
@@ -526,6 +527,17 @@ _REGISTRY = (
 )
 
 
+def _positive_or_none(name, value):
+    """None, or value as a positive int; anything else raises TypeError or ValueError."""
+    try:
+        value = None if value is None else operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a positive integer or None, got {value!r}") from None
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be a positive integer or None, got {value}")
+    return value
+
+
 def check_names():
     return tuple(name for name, _ in _REGISTRY)
 
@@ -534,8 +546,13 @@ def run_checks(names=None, n=None, N=None, seed=0, corrupt_hooks=False, max_size
     """Run the named checks (all by default) and return their results in registry order.
 
     A check that raises is reported as failed; the remaining checks still run.
+    Limits are validated before any check runs: n, N and max_size must be
+    None or a positive integer and seed an int, else TypeError or ValueError.
     """
-    lim = _Limits(n=n, N=N, seed=seed, corrupt_hooks=corrupt_hooks, max_size=max_size)
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    lim = _Limits(n=_positive_or_none("n", n), N=_positive_or_none("N", N), seed=seed,
+                  corrupt_hooks=corrupt_hooks, max_size=_positive_or_none("max_size", max_size))
     selected = [(name, fn) for name, fn in _REGISTRY if names is None or name in names]
     if names is not None:
         unknown = set(names) - {name for name, _ in _REGISTRY}

@@ -168,6 +168,45 @@ def test_missing_required_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
+# `cmkostka verify-all` at its defaults: every check name and item count, byte for byte.
+VERIFY_ALL_DEFAULT = """\
+PASS hook-count-and-sum (139 items)
+PASS hook-conjugation-invariance (139 items)
+PASS tableau-count-oracle (139 items)
+PASS tableau-square-sum (11 items)
+PASS wreath-order-sum (28 items)
+PASS division-round-trip (60 items)
+PASS inverse-substitution (60 items)
+PASS evaluation-multiplicative (60 items)
+PASS tangent-weights-negated-hooks (67 items)
+PASS tangent-weights-sign-split (67 items)
+PASS kostka-normalization (139 items)
+PASS kostka-dimension-at-one (139 items)
+PASS kostka-conjugation-invariance (139 items)
+PASS kostka-major-index-oracle (45 items)
+PASS wreath-kostka-factorization (584 items)
+PASS character-palindrome-square (139 items)
+PASS completion-series-consistency (29 items)
+PASS multiplicity-hook-oracle (66 items)
+PASS multiplicity-square-sum (8 items)
+PASS wreath-multiplicity-square-sum (15 items)
+PASS wreath-slot-symmetry (40 items)
+PASS wreath-dimension-chain (28 items)
+PASS rank-one-random-points (200 items)
+PASS scaling-preserves-rank-one (200 items)
+PASS involution-preserves-rank-one (200 items)
+PASS eigenvalue-polynomial-match (200 items)
+PASS profile-round-trip (29 items)
+PASS embedding-component-lines (86 items)
+PASS embedding-block-factorization (20 items)
+29 checks, all passed
+"""
+
+
+def test_verify_all_default_output_is_pinned(capsys):
+    assert run_cli(capsys, "verify-all") == (0, VERIFY_ALL_DEFAULT, "")
+
+
 def test_verify_all_small_run(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--n", "3", "--N", "2", "--seed", "7")
     assert code == 0
@@ -211,6 +250,24 @@ def test_verify_all_crash_inside_a_check_is_a_failed_check(capsys, monkeypatch):
     lines = out.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 28
     assert f"FAIL {name}: raised ValueError: boom" in lines
+
+
+BAD_LIMITS = [
+    ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"max_size": 0}, ValueError),
+    ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
+]
+
+
+@pytest.mark.parametrize("limits, error", BAD_LIMITS)
+def test_run_checks_rejects_bad_limits_before_any_check(monkeypatch, limits, error):
+    calls = []
+    monkeypatch.setattr(verify, "_REGISTRY", (("spy", lambda lim: calls.append(lim) or (1, "")),))
+    with pytest.raises(error):
+        verify.run_checks(**limits)
+    assert calls == []
+    # the spy does record a run with good limits; bool counts as an int
+    verify.run_checks(n=True, N=2, max_size=3, seed=-4)
+    assert [(lim.n, lim.N, lim.max_size, lim.seed) for lim in calls] == [(1, 2, 3, -4)]
 
 
 def test_console_entry_point_runs():

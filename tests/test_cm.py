@@ -21,8 +21,6 @@ from cmkostka.cm import (
     cstar_act,
     involution,
     monomial_subspace,
-    poly_eval,
-    poly_eval_derivative,
     poly_from_roots,
     poly_mul,
     projections,
@@ -84,6 +82,22 @@ def _seeded_point(rng, n):
     return CMPointRegular(y, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)])
 
 
+def poly_eval(coeffs, x):
+    """Fraction Horner value of a low-to-high coefficient list at x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_eval_derivative(coeffs, x):
+    """Fraction Horner value of the derivative at x."""
+    acc = Fraction(0)
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x + k * coeffs[k]
+    return acc
+
+
 # -- RationalMatrix
 
 
@@ -132,12 +146,59 @@ def test_rank_golden():
     assert RationalMatrix([[1, 2, 3], [4, 5, 6]]).rank() == 2
 
 
-def test_nullspace_golden():
-    basis = RationalMatrix([[1, 2], [2, 4]]).nullspace()
-    assert basis == [(Fraction(-2), Fraction(1))]
-    assert RationalMatrix.identity(3).nullspace() == []
-    wide = RationalMatrix([[1, 0, 1]])
-    assert wide.nullspace() == [(Fraction(0), Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0), Fraction(1))]
+def _fraction_pivot_columns(a):
+    """Pivot columns by Fraction Gaussian elimination, the first nonzero entry pivoting."""
+    m = [list(row) for row in a.entries]
+    pivots = []
+    for c in range(a.cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, a.rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, a.rows):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _pivot_shapes(rng):
+    """Square, wide and tall rational matrices: general, sparse, all zero, with
+    zero columns, with a dependent middle column, and products of rank at most 1 and 2."""
+    def draw(rows, cols):
+        return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols)] for _ in range(rows)]
+
+    shapes = []
+    for rows, cols in ((1, 1), (3, 3), (6, 6), (2, 5), (3, 8), (5, 2), (8, 3), (4, 9), (9, 4)):
+        dependent = draw(rows, cols)
+        if cols >= 3:
+            for row in dependent:
+                row[cols // 2] = 2 * row[0] - row[1] / 3
+        shapes += [RationalMatrix(e) for e in (
+            draw(rows, cols),
+            [[x if rng.random() < 0.3 else 0 for x in row] for row in draw(rows, cols)],  # sparse
+            [[0 if j in (0, cols // 2) else x for j, x in enumerate(row)] for row in draw(rows, cols)],
+            dependent,
+            [[0] * cols for _ in range(rows)],
+        )]
+        shapes += [RationalMatrix(draw(rows, k)) @ RationalMatrix(draw(k, cols)) for k in (1, 2)]
+    return shapes
+
+
+def test_pivot_columns_match_fraction_elimination():
+    rng = random.Random(2020)
+    # the transposed bases schubert_profile reads, at the north star's sizes n = 12 and 20
+    embedded = [wilson_embed(_seeded_point(rng, n)).subspace.transpose() for n in (12, 20)]
+    skipped = 0
+    for a in _pivot_shapes(rng) + embedded:
+        expected = _fraction_pivot_columns(a)
+        assert a._pivot_columns() == expected
+        assert a.rank() == len(expected)
+        skipped += expected != list(range(len(expected)))
+    # the shapes do make the pivots skip columns, not only stop early
+    assert skipped > 10
+    assert [a.rank() for a in embedded] == [12, 20]
 
 
 def test_charpoly_golden():
@@ -714,7 +775,7 @@ def test_full_rank_verdict_matches_exact_rank(a):
     # a square matrix over a zero block is a 2n x n subspace of the same rank
     n = a.rows
     subspace = RationalMatrix([list(row) for row in a.entries] + [[0] * n for _ in range(n)])
-    assert cm._full_column_rank(subspace) == (a.rank() == n)
+    assert cm._full_column_rank(subspace, cm._cleared_columns(subspace)) == (a.rank() == n)
 
 
 # -- randomized properties
