@@ -5,6 +5,7 @@ the line spanned by z^a under the contracting torus action is -a.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .partitions import GammaPartition, Partition, hook_lengths
 from .qpoly import (
@@ -41,9 +42,16 @@ def _label_hooks(label):
     raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
+@lru_cache(maxsize=4096)
+def _hook_quotient(n, hooks):
+    # The formula sees only the size and the hook multiset, so labels sharing
+    # them (conjugates, permuted wreath components) share one immutable result.
+    return one_minus_quotient(range(1, n + 1), hooks)
+
+
 def _q_hook_formula(label):
     hooks = _label_hooks(label)  # first, so a non-label raises TypeError
-    return one_minus_quotient(range(1, label.size + 1), hooks)
+    return _hook_quotient(label.size, tuple(sorted(hooks)))
 
 
 def kostka(label):

@@ -14,6 +14,7 @@ from math import factorial
 from .characters import character, kostka, kostka_wreath, tangent_weights
 from .cm import CMPointRegular, verify_cm, wilson_embed, wilson_representative
 from .partitions import (
+    BoundExceeded,
     enumerate_gamma_partitions,
     enumerate_partitions,
     gamma_dimension,
@@ -58,11 +59,29 @@ def _kostka_entry(label):
     return {"lambda": str(label), "kostka": poly.to_json_dict()}, poly
 
 
-def _labels_for(args):
+# Largest batches kostka, character and wreath accept, from measured single
+# runs: character --n 20 takes 2.3 s and character --N 4 --n 10 takes 3.3 s.
+_MAX_BATCH_n = 20
+_MAX_BATCH_N, _MAX_BATCH_WREATH_n = 4, 10
+
+
+def _check_batch(N, n):
+    """Refuse a batch above the caps before any label is enumerated."""
+    if N is None:
+        if n > _MAX_BATCH_n:
+            raise BoundExceeded(f"--n {n} exceeds the batch cap n <= {_MAX_BATCH_n}")
+    elif N > _MAX_BATCH_N or n > _MAX_BATCH_WREATH_n:
+        raise BoundExceeded(
+            f"--N {N} --n {n} exceeds the wreath batch caps N <= {_MAX_BATCH_N}, n <= {_MAX_BATCH_WREATH_n}"
+        )
+
+
+def _labels_for(args, capped=False):
     """Resolve --partition/--gamma-partition/--n [--N] into a list of labels.
 
     --N is a usage error with --partition, and with --gamma-partition unless
-    it equals the label's component count.
+    it equals the label's component count.  With capped, an --n batch above
+    the caps is refused before it is enumerated.
     """
     N = getattr(args, "N", None)
     if args.partition is not None:
@@ -74,13 +93,15 @@ def _labels_for(args):
         if N is not None and N != label.N:
             raise ValueError(f"--N {N} but {label} has {label.N} components")
         return [label]
+    if capped:
+        _check_batch(N, args.n)
     if N is not None:
         return list(enumerate_gamma_partitions(N, args.n))
     return list(enumerate_partitions(args.n))
 
 
 def _cmd_kostka(args):
-    labels = _labels_for(args)
+    labels = _labels_for(args, capped=True)
     if args.json:
         entries = [_kostka_entry(label)[0] for label in labels]
         _emit_json(entries[0] if len(labels) == 1 and args.n is None else entries)
@@ -92,7 +113,7 @@ def _cmd_kostka(args):
 
 
 def _cmd_character(args):
-    labels = _labels_for(args)
+    labels = _labels_for(args, capped=True)
     reports = [character(label) for label in labels]
     if args.json:
         entries = [
@@ -150,6 +171,7 @@ def _cmd_schur_p1n(args):
 
 
 def _cmd_wreath(args):
+    _check_batch(args.N, args.n)
     labels = enumerate_gamma_partitions(args.N, args.n)
     entries = []
     total = 0

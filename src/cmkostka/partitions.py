@@ -203,6 +203,11 @@ def enumerate_partitions(n):
 
 def hook_lengths(lam):
     """Multiset of hook lengths of the diagram, as a decreasing tuple."""
+    return _hook_lengths(lam)
+
+
+@lru_cache(maxsize=4096)
+def _hook_lengths(lam):
     return tuple(sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True))
 
 

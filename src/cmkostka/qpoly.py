@@ -179,40 +179,43 @@ def qfactorial_product(n):
 def exact_divide(a, b):
     """The Laurent polynomial c with a = b * c, or raise NonExactDivision.
 
-    Both operands are normalized by their minimal exponents, the division is
-    done by classical long division over the rationals, and the exponent
-    offset is restored at the end.
+    Both operands are normalized by their minimal exponents and the division
+    is classical long division on a dense coefficient list of the dividend,
+    walking its degrees downward: the quotient term at position k clears the
+    dividend's coefficient at k + deg b.  When the divisor's leading
+    coefficient is 1 or -1 every step stays in the integers; any other
+    divisor runs the same walk over the rationals.  A remainder is reported
+    before a non-integer quotient, and the exponent offset is restored at
+    the end.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return LaurentPoly.zero()
-    shift = a.min_exponent() - b.min_exponent()
-    num = {e - a.min_exponent(): Fraction(c) for e, c in a.coeffs.items()}
-    den = {e - b.min_exponent(): Fraction(c) for e, c in b.coeffs.items()}
-    deg_den = max(den)
-    lead_den = den[deg_den]
+    a_min, b_min = a.min_exponent(), b.min_exponent()
+    num = [0] * (a.max_exponent() - a_min + 1)
+    for e, c in a.coeffs.items():
+        num[e - a_min] = c
+    den = [(e - b_min, c) for e, c in b.coeffs.items()]
+    deg_den = b.max_exponent() - b_min
+    lead = b.coeffs[b_min + deg_den]
+    unit = lead in (1, -1)
     quotient = {}
-    while num:
-        deg_num = max(num)
-        if deg_num < deg_den:
-            break
-        factor = num[deg_num] / lead_den
-        pos = deg_num - deg_den
-        quotient[pos] = factor
-        for e, c in den.items():
-            tgt = e + pos
-            s = num.get(tgt, Fraction(0)) - factor * c
-            if s == 0:
-                num.pop(tgt, None)
-            else:
-                num[tgt] = s
-    if num:
+    for pos in range(len(num) - 1 - deg_den, -1, -1):
+        c = num[pos + deg_den]
+        if c:
+            # c / lead: for lead = +1 or -1 that is c * lead, an integer
+            factor = quotient[pos] = c * lead if unit else Fraction(c, lead)
+            for e, d in den:
+                num[e + pos] -= factor * d
+    remainder = {e: c for e, c in enumerate(num[:deg_den]) if c}
+    if remainder:
         raise NonExactDivision(
-            f"division left remainder with exponents {sorted(num)}", num
+            f"division left remainder with exponents {sorted(remainder)}", remainder
         )
     if any(c.denominator != 1 for c in quotient.values()):
         raise NonExactDivision("quotient has non-integer coefficients", {})
+    shift = a_min - b_min
     return LaurentPoly({e + shift: int(c) for e, c in quotient.items()})
 
 

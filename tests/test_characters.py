@@ -1,11 +1,13 @@
 """Kostka polynomials, fiber characters, and fixed-point weight data."""
 
-from math import prod
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmkostka import characters
 from cmkostka.characters import (
     character,
     completion_character_check,
@@ -17,6 +19,7 @@ from cmkostka.characters import (
 from cmkostka.partitions import (
     GammaPartition,
     Partition,
+    _hook_lengths,
     enumerate_gamma_partitions,
     enumerate_partitions,
     hook_lengths,
@@ -29,8 +32,10 @@ from cmkostka.qpoly import (
     evaluate_at_one,
     exact_divide,
     one_minus_q,
+    one_minus_quotient,
     qfactorial_product,
     qmultinomial,
+    substitute_inverse,
 )
 
 
@@ -105,6 +110,86 @@ def test_kostka_matches_long_division_oracle():
                 expected = _long_division_kostka(gp.components)
                 assert kostka_wreath(gp) == expected
                 assert kostka(gp) == expected
+
+
+def _fresh_kostka(components):
+    """The hook formula straight from one_minus_quotient, with hooks read cell
+    by cell, so that neither the quotient cache nor the hook cache is used."""
+    hooks = [comp.hook(r, c) for comp in components for r, c in comp.cells()]
+    return one_minus_quotient(range(1, sum(c.size for c in components) + 1), hooks)
+
+
+def _memo_labels():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            yield lam, [lam]
+    for N in (1, 2, 3):
+        for n in range(7):
+            for gp in enumerate_gamma_partitions(N, n):
+                yield gp, gp.components
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_memoised_kostka_matches_fresh_quotient(cache):
+    if cache == "cold":
+        characters._hook_quotient.cache_clear()
+        _hook_lengths.cache_clear()
+    else:
+        for label, _ in _memo_labels():
+            kostka(label)
+    for label, components in _memo_labels():
+        expected = _fresh_kostka(components)
+        assert kostka(label) == expected
+        if isinstance(label, GammaPartition):
+            assert kostka_wreath(label) == expected
+        report = character(label)
+        assert report.kostka == expected
+        assert report.character == expected * substitute_inverse(expected)
+        assert report.dimension == evaluate_at_one(expected)
+    assert characters._hook_quotient.cache_info().hits > 0
+
+
+def test_caches_are_bounded():
+    for cached in (characters._hook_quotient, _hook_lengths):
+        assert cached.cache_info().maxsize is not None
+
+
+def _summed_character_sides(n):
+    """Both sides of sum_lam K_lam(q) K_lam(1/q) = sum_mu z_mu^-1 chi_mu(q) chi_mu(1/q),
+    multiplied by n! so that the class sizes n!/z_mu are integers.
+
+    The left side goes through character(); the right side uses only cycle
+    types, with chi_mu = (1-q)...(1-q^n) / prod over parts m of (1 - q^m)
+    by long division.
+    """
+    scale = LaurentPoly({0: factorial(n)})
+    left = scale * sum((character(lam).character for lam in enumerate_partitions(n)), LaurentPoly.zero())
+    right = LaurentPoly.zero()
+    for mu in enumerate_partitions(n):
+        chi = exact_divide(qfactorial_product(n), prod(map(one_minus_q, mu.parts), start=LaurentPoly.one()))
+        z = prod(m**a * factorial(a) for m, a in Counter(mu.parts).items())
+        right = right + LaurentPoly({0: factorial(n) // z}) * chi * substitute_inverse(chi)
+    return left, right
+
+
+def test_summed_character_matches_cycle_type_average():
+    for n in range(11):
+        left, right = _summed_character_sides(n)
+        assert left == right
+        assert evaluate_at_one(left) == factorial(n) ** 2
+
+
+def test_summed_character_detects_one_corrupted_hook(monkeypatch):
+    # (2,1) has hooks 3,1,1; reading one 1 as 2 turns its Kostka polynomial
+    # 1 + q into 1, so no division fails and only the value is wrong.
+    genuine = characters.hook_lengths
+
+    def corrupted(lam):
+        return (3, 2, 1) if lam == Partition((2, 1)) else genuine(lam)
+
+    monkeypatch.setattr(characters, "hook_lengths", corrupted)
+    left, right = _summed_character_sides(3)
+    assert left != right
 
 
 def test_fixed_point_exponents_golden():

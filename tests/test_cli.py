@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmkostka import verify
+from cmkostka import cli, verify
 from cmkostka.cli import main
 
 
@@ -86,6 +86,42 @@ def test_components_flag_must_fit_the_label(capsys, command):
     code, out, _ = run_cli(capsys, command, "--gamma-partition", "1;1", "--N", "2")
     assert code == 0
     assert out == run_cli(capsys, command, "--gamma-partition", "1;1")[1]
+
+
+class _Enumerated(Exception):
+    """Raised by the spies below in place of starting a batch enumeration."""
+
+
+def _refuse_enumeration(*args):
+    raise _Enumerated(args)
+
+
+@pytest.mark.parametrize(
+    "argv, at_cap",
+    [
+        (["kostka", "--n", "21"], ["kostka", "--n", "20"]),
+        (["character", "--n", "21"], ["character", "--n", "20"]),
+        (["kostka", "--N", "5", "--n", "1"], ["kostka", "--N", "4", "--n", "1"]),
+        (["kostka", "--N", "4", "--n", "11"], ["kostka", "--N", "4", "--n", "10"]),
+        (["character", "--N", "5", "--n", "1"], ["character", "--N", "4", "--n", "1"]),
+        (["character", "--N", "4", "--n", "11"], ["character", "--N", "4", "--n", "10"]),
+        (["wreath", "--N", "5", "--n", "1"], ["wreath", "--N", "4", "--n", "1"]),
+        (["wreath", "--N", "4", "--n", "11"], ["wreath", "--N", "4", "--n", "10"]),
+    ],
+)
+def test_batch_caps_refuse_before_enumerating(capsys, monkeypatch, argv, at_cap):
+    monkeypatch.setattr(cli, "enumerate_partitions", _refuse_enumeration)
+    monkeypatch.setattr(cli, "enumerate_gamma_partitions", _refuse_enumeration)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceeds the" in err
+    with pytest.raises(_Enumerated):  # the cap itself is accepted
+        main(at_cap)
+
+
+def test_tangent_batches_are_not_capped(capsys):
+    code, out, _ = run_cli(capsys, "tangent", "--n", "21")
+    assert code == 0 and len(out.splitlines()) == 792
 
 
 def test_schur_p1n_text_and_json(capsys):

@@ -119,6 +119,98 @@ def test_non_integer_quotient_is_rejected():
         exact_divide(LaurentPoly({0: 1}), LaurentPoly({0: 2}))
 
 
+def _fraction_exact_divide(a, b):
+    """Long division over the rationals on exponent maps, highest term first
+    by max(): the earlier exact_divide, kept as an oracle for the dense walk."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    shift = a.min_exponent() - b.min_exponent()
+    num = {e - a.min_exponent(): Fraction(c) for e, c in a.coeffs.items()}
+    den = {e - b.min_exponent(): Fraction(c) for e, c in b.coeffs.items()}
+    deg_den = max(den)
+    lead_den = den[deg_den]
+    quotient = {}
+    while num:
+        deg_num = max(num)
+        if deg_num < deg_den:
+            break
+        factor = num[deg_num] / lead_den
+        pos = deg_num - deg_den
+        quotient[pos] = factor
+        for e, c in den.items():
+            tgt = e + pos
+            s = num.get(tgt, Fraction(0)) - factor * c
+            if s == 0:
+                num.pop(tgt, None)
+            else:
+                num[tgt] = s
+    if num:
+        raise NonExactDivision(f"division left remainder with exponents {sorted(num)}", num)
+    if any(c.denominator != 1 for c in quotient.values()):
+        raise NonExactDivision("quotient has non-integer coefficients", {})
+    return LaurentPoly({e + shift: int(c) for e, c in quotient.items()})
+
+
+def _division_outcome(divide, a, b):
+    """The quotient, or the failure's class ("remainder" or "non-integer
+    quotient"), message and remainder map."""
+    try:
+        return divide(a, b)
+    except NonExactDivision as err:
+        kind = "remainder" if err.remainder else "non-integer quotient"
+        return kind, str(err), err.remainder
+
+
+def test_exact_divide_failure_classes_are_pinned():
+    # (q^2 + 1) / (2q + 1) leaves 5/4 at q^0; 1 / 2 divides with no remainder
+    # but not over the integers.
+    a, b = LaurentPoly({0: 1, 2: 1}), LaurentPoly({0: 1, 1: 2})
+    assert _division_outcome(exact_divide, a, b) == (
+        "remainder",
+        "division left remainder with exponents [0]",
+        {0: Fraction(5, 4)},
+    )
+    half = (LaurentPoly.one(), LaurentPoly({0: 2}))
+    assert _division_outcome(exact_divide, *half) == (
+        "non-integer quotient",
+        "quotient has non-integer coefficients",
+        {},
+    )
+    for pair in ((a, b), half):
+        assert _division_outcome(exact_divide, *pair) == _division_outcome(_fraction_exact_divide, *pair)
+
+
+def _with_leading(poly, lead):
+    """poly with its top coefficient replaced by lead (the monomial lead if poly is zero)."""
+    coeffs = dict(poly.coeffs) or {0: 0}
+    coeffs[max(coeffs)] = lead
+    return LaurentPoly(coeffs)
+
+
+@given(laurent_polys, laurent_polys, st.sampled_from([1, -1, 2, -3, 4]))
+def test_exact_divide_matches_fraction_oracle_on_exact_quotients(a, b, lead):
+    b = _with_leading(b, lead)
+    assert exact_divide(a * b, b) == _fraction_exact_divide(a * b, b) == a
+
+
+@given(laurent_polys, laurent_polys, st.sampled_from([1, -1, 2, -3, 4]))
+def test_exact_divide_fails_like_fraction_oracle(a, b, lead):
+    b = _with_leading(b, lead)
+    assert _division_outcome(exact_divide, a, b) == _division_outcome(_fraction_exact_divide, a, b)
+
+
+def test_exact_divide_agrees_with_oracle_on_q_multinomial_divisions():
+    for n in range(9):
+        top = qfactorial_product(n)
+        for lam in range(n + 1):
+            den = qfactorial_product(lam) * qfactorial_product(n - lam)
+            assert exact_divide(top, den) == _fraction_exact_divide(top, den)
+        den = qfactorial_product(n + 1)
+        assert _division_outcome(exact_divide, top, den) == _division_outcome(_fraction_exact_divide, top, den)
+
+
 def test_non_integers_are_rejected_not_coerced():
     with pytest.raises(TypeError):
         LaurentPoly({0: Fraction(1, 2)})
