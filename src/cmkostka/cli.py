@@ -59,8 +59,8 @@ def _kostka_entry(label):
     return {"lambda": str(label), "kostka": poly.to_json_dict()}, poly
 
 
-# Largest batches kostka, character and wreath accept, from measured single
-# runs: character --n 20 takes 2.3 s and character --N 4 --n 10 takes 3.3 s.
+# Largest batches kostka, character, schur-p1n and wreath accept, from measured
+# single runs: character --n 20 takes 2.3 s and character --N 4 --n 10 takes 3.3 s.
 _MAX_BATCH_n = 20
 _MAX_BATCH_N, _MAX_BATCH_WREATH_n = 4, 10
 
@@ -155,6 +155,7 @@ def _cmd_tangent(args):
 
 
 def _cmd_schur_p1n(args):
+    _check_batch(args.N, args.n)
     if args.N is None:
         expansion = expand_p1n(args.n)
         order = enumerate_partitions(args.n)

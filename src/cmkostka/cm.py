@@ -1,21 +1,25 @@
 """Exact rational matrix pairs satisfying the rank-one commutator condition.
 
-Everything here is computed over the rationals with no tolerances, and the
-kernels run on integers after clearing denominators: one fraction-free
-(Bareiss) elimination on denominator-cleared integer rows gives the pivot
-columns that both matrix rank and the Schubert profile read, the
-commutator on the cleared X and Y, characteristic polynomials by
-division-free Berkowitz on the cleared matrix, and the Grassmannian
-embedding by explicit congruence solving at each eigenvalue, over the common
-denominator of the eigenvalues.  An embedded subspace's full column rank is
-certified modulo the prime 2^61 - 1 from its column-cleared integers (rank
-can only drop modulo a prime), with exact elimination as the fallback only
-when a column finds no pivot there.  Entries and scalars must be Fraction or
-int; anything else raises TypeError rather than being coerced.
+Everything here is computed over the rationals with no tolerances.  A
+RationalMatrix holds one integer form, a positive common denominator and
+integer rows sharing no factor with it, and every kernel reads and writes
+those integers: sums, products, scaling and transposes; one fraction-free
+(Bareiss) elimination on the content-reduced integer rows, whose pivot
+columns both matrix rank and the Schubert profile read; the commutator;
+characteristic polynomials by division-free Berkowitz on the integer
+matrix; the normal form; and the Grassmannian embedding by explicit
+congruence solving at each eigenvalue, over the common denominator of the
+eigenvalues.  Fraction entries are built only when a caller reads them.  An
+embedded subspace's full column rank is certified modulo the prime 2^61 - 1
+from its column-cleared integers (rank can only drop modulo a prime), with
+exact elimination as the fallback only when a column finds no pivot there.
+Entries and scalars must be Fraction or int; anything else raises TypeError
+rather than being coerced.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .partitions import Partition
@@ -56,9 +60,16 @@ def _cleared(entries):
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of exact rationals, held in one integer form.
 
-    __slots__ = ("rows", "cols", "entries")
+    The matrix is stored as a positive common denominator _den and a tuple
+    of integer rows _ints, entries _ints[i][j] / _den, reduced so that _den
+    and all the integers share no factor.  That form is unique, so equality
+    and hashing compare it directly.  The kernels read and write the
+    integers; the Fraction rows in entries are built on first read and kept.
+    """
+
+    __slots__ = ("rows", "cols", "_den", "_ints", "_entries")
 
     def __init__(self, entries):
         entries = tuple(tuple(_frac(x) for x in row) for row in entries)
@@ -67,12 +78,47 @@ class RationalMatrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
+        # the least common denominator of reduced fractions shares no factor
+        # with all of the cleared numerators, so this form is already reduced
+        den, ints = _cleared(entries)
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
+        object.__setattr__(self, "_entries", entries)
+
+    @staticmethod
+    def _from_ints(den, rows):
+        """The matrix with entries rows[i][j] / den for a positive integer den,
+        rows a nonempty iterable of equal-length integer rows."""
+        rows = tuple(map(tuple, rows))
+        if not rows:
+            raise ValueError("matrix needs at least one row")
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = tuple(tuple(v // g for v in row) for row in rows)
+        m = object.__new__(RationalMatrix)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]))
+        object.__setattr__(m, "_den", den)
+        object.__setattr__(m, "_ints", rows)
+        object.__setattr__(m, "_entries", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    @property
+    def entries(self):
+        """The entries as a tuple of Fraction rows."""
+        entries = self._entries
+        if entries is None:
+            den = self._den
+            entries = tuple(tuple(Fraction(v, den) for v in row) for row in self._ints)
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     @staticmethod
     def identity(n):
@@ -80,17 +126,15 @@ class RationalMatrix:
 
     @staticmethod
     def diagonal(values):
-        values = [_frac(v) for v in values]
-        n = len(values)
-        return RationalMatrix(
-            [[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        d, (a,) = _cleared([[_frac(v) for v in values]])
+        n = len(a)
+        return RationalMatrix._from_ints(d, [[a_i if i == j else 0 for j in range(n)] for i, a_i in enumerate(a)])
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return isinstance(other, RationalMatrix) and self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self._den, self._ints))
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, row)) for row in self.entries]})"
@@ -98,7 +142,11 @@ class RationalMatrix:
     def _entrywise(self, other, op, symbol):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}")
-        return RationalMatrix([map(op, row, other_row) for row, other_row in zip(self.entries, other.entries)])
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        return RationalMatrix._from_ints(
+            den, [[op(a * s, b * t) for a, b in zip(row, other_row)] for row, other_row in zip(self._ints, other._ints)]
+        )
 
     def __add__(self, other):
         return self._entrywise(other, add, "+")
@@ -109,40 +157,37 @@ class RationalMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = [Fraction(0)] * other.cols
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a == 0:
-                    continue
-                other_row = other.entries[k]
-                for j in range(other.cols):
-                    if other_row[j]:
-                        row[j] += a * other_row[j]
-            out.append(row)
-        return RationalMatrix(out)
+        other_cols = list(zip(*other._ints))
+        return RationalMatrix._from_ints(
+            self._den * other._den, [[sum(map(mul, row, col)) for col in other_cols] for row in self._ints]
+        )
 
     def scaled(self, c):
         c = _frac(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries])
+        s = c.numerator
+        return RationalMatrix._from_ints(self._den * c.denominator, [[s * v for v in row] for row in self._ints])
 
     def transpose(self):
-        return RationalMatrix(zip(*self.entries))
+        return RationalMatrix._from_ints(self._den, zip(*self._ints))
 
     def trace(self):
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
 
     def _pivot_columns(self):
         """Pivot columns of the row echelon form, by fraction-free (Bareiss)
-        elimination with partial pivoting on the row-cleared integers.
+        elimination with partial pivoting on the integer rows, each first
+        divided by its content (the gcd of its entries).
 
         Column c is a pivot exactly when it is independent of the columns
-        before it, so the list does not depend on which rows pivot.
+        before it, so the list does not depend on which rows pivot, and
+        scaling a row keeps it.
         """
-        m = [_cleared([row])[1][0] for row in self.entries]  # scaling rows keeps the pivots
+        m = []
+        for row in self._ints:
+            g = gcd(*row)
+            m.append([v // g for v in row] if g > 1 else list(row))
         rows, cols = self.rows, self.cols
         pivots = []
         prev = 1
@@ -179,7 +224,7 @@ class RationalMatrix:
         """
         if self.rows != self.cols:
             raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-        d, b = _cleared(self.entries)
+        d, b = self._den, self._ints
         poly = [1]  # det(zI - B_k), coefficients high to low
         for k, row in enumerate(b):
             # v has k entries, so map(mul, ..., v) reads only the first k of a row
@@ -195,8 +240,14 @@ class RationalMatrix:
 
 
 def _cleared_columns(matrix):
-    """Each column cleared to integers over its own common denominator."""
-    return tuple(tuple(_cleared([column])[1][0]) for column in zip(*matrix.entries))
+    """Each column cleared to integers over its own common denominator: the
+    integer column divided by its gcd with the matrix's denominator."""
+    den = matrix._den
+    out = []
+    for column in zip(*matrix._ints):
+        g = gcd(den, *column)
+        out.append(tuple(v // g for v in column))
+    return tuple(out)
 
 
 def _full_column_rank(matrix, columns):
@@ -259,14 +310,17 @@ class EmbeddedPoint:
 
     __slots__ = ("ideal", "subspace", "_columns")
 
-    def __init__(self, ideal, subspace):
+    def __init__(self, ideal, subspace, _columns=None):
+        """_columns, when given, must equal _cleared_columns(subspace):
+        wilson_embed passes the columns it has already reduced, which spares
+        recomputing their gcds with the subspace's large denominator."""
         ideal = tuple(_frac(c) for c in ideal)
         if not ideal or ideal[-1] != 1:
             raise ValueError("ideal generator must be monic")
         n = len(ideal) - 1
         if subspace.rows != 2 * n or subspace.cols != n:
             raise ValueError(f"subspace must be {2 * n}x{n}, got {subspace.rows}x{subspace.cols}")
-        columns = _cleared_columns(subspace)
+        columns = _cleared_columns(subspace) if _columns is None else _columns
         if not _full_column_rank(subspace, columns):
             raise ValueError("subspace columns must be linearly independent")
         object.__setattr__(self, "ideal", ideal)
@@ -284,13 +338,20 @@ class EmbeddedPoint:
 def wilson_representative(point):
     """Normal form (X, Y) of a regular point: Y diagonal, X with reciprocal
     eigenvalue differences off the diagonal and the alphas on it.  With d the
-    common denominator of the eigenvalues and a_i = d y_i, x_ij = d/(a_i - a_j)."""
+    common denominator of the eigenvalues and a_i = d y_i, x_ij = d/(a_i - a_j).
+    X is built as integers over den, the least common multiple of the alphas'
+    denominators and of each (a_i - a_j) / gcd(d, a_i - a_j), the reduced
+    denominator of x_ij: its entries are den d / (a_i - a_j) and den alpha_i."""
     d, (a,) = _cleared([point.y])
-    x_rows = [
-        [point.alpha[i] if i == j else Fraction(d, a_i - a_j) for j, a_j in enumerate(a)]
-        for i, a_i in enumerate(a)
-    ]
-    return RationalMatrix(x_rows), RationalMatrix.diagonal(point.y)
+    alpha = point.alpha
+    den = lcm(
+        *(alpha_i.denominator for alpha_i in alpha),
+        *((a_i - a_j) // gcd(d, a_i - a_j) for i, a_i in enumerate(a) for a_j in a[:i]),
+    )
+    alpha_ints = [alpha_i.numerator * (den // alpha_i.denominator) for alpha_i in alpha]
+    dd = den * d
+    x_rows = [[alpha_ints[i] if i == j else dd // (a_i - a_j) for j, a_j in enumerate(a)] for i, a_i in enumerate(a)]
+    return RationalMatrix._from_ints(den, x_rows), RationalMatrix.diagonal(point.y)
 
 
 def commutator_plus_identity(x, y):
@@ -299,26 +360,23 @@ def commutator_plus_identity(x, y):
     The orientation matters: with the normal form (x_ij = 1/(y_i - y_j),
     Y diagonal) this is the all-ones matrix, visibly of rank one, while the
     opposite order has full rank as soon as n is at least 3.  X and Y are
-    cleared to the integer matrices dx X and dy Y, whose commutator is
+    held as the integer matrices dx X and dy Y, whose commutator is
     dx dy (YX - XY).
     """
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
-    dx, x_rows = _cleared(x.entries)
-    dy, y_rows = _cleared(y.entries)
-    scale = dx * dy
+    scale = x._den * y._den
+    x_rows, y_rows = x._ints, y._ints
     x_cols, y_cols = list(zip(*x_rows)), list(zip(*y_rows))
-    return RationalMatrix(
+    return RationalMatrix._from_ints(
+        scale,
         [
             [
-                Fraction(
-                    sum(map(mul, y_row, x_col)) - sum(map(mul, x_row, y_col)) + (scale if i == j else 0),
-                    scale,
-                )
+                sum(map(mul, y_row, x_col)) - sum(map(mul, x_row, y_col)) + (scale if i == j else 0)
                 for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols))
             ]
             for i, (x_row, y_row) in enumerate(zip(x_rows, y_rows))
-        ]
+        ],
     )
 
 
@@ -326,15 +384,18 @@ def verify_cm(x, y):
     """Check that YX - XY + Id has rank exactly one.
 
     Returns (ok, m, witness): m is the commutator-plus-identity matrix and
-    witness is a (column, row) pair with m = column * row when ok.
+    witness is a (column, row) pair with m = column * row when ok: row is
+    the first nonzero row of m and column divides column c of m by the row's
+    first nonzero entry, both read off m's integer rows.
     """
     m = commutator_plus_identity(x, y)
     if m.rank() != 1:
         return False, m, None
-    pivot_row = next(i for i in range(m.rows) if any(m.entries[i]))
-    row = m.entries[pivot_row]
-    pivot_col = next(j for j in range(m.cols) if row[j] != 0)
-    column = tuple(m.entries[i][pivot_col] / row[pivot_col] for i in range(m.rows))
+    den, ints = m._den, m._ints
+    irow = next(row for row in ints if any(row))
+    c = next(j for j, v in enumerate(irow) if v)
+    row = tuple(Fraction(v, den) for v in irow)
+    column = tuple(Fraction(r[c], irow[c]) for r in ints)
     return True, m, (column, row)
 
 
@@ -371,12 +432,24 @@ def poly_mul(a, b):
     return out
 
 
+def _root_product(a):
+    """Integer coefficients of prod (w - a_i), low to high."""
+    q = [1]
+    for r in a:
+        q = [lo - r * hi for lo, hi in zip([0] + q, q + [0])]
+    return q
+
+
 def poly_from_roots(roots):
-    """Monic polynomial with the given roots, low-to-high coefficients."""
-    out = [Fraction(1)]
-    for r in roots:
-        out = poly_mul(out, [-_frac(r), Fraction(1)])
-    return tuple(out)
+    """Monic polynomial with the given roots, low-to-high coefficients.
+
+    With d the common denominator of the roots and a_i = d r_i, the product
+    of (z - r_i) is d^-n prod (w - a_i) at w = d z, so coefficient k is
+    q_k / d^(n-k).
+    """
+    d, (a,) = _cleared([[_frac(r) for r in roots]])
+    n = len(a)
+    return tuple(Fraction(q_k, d ** (n - k)) for k, q_k in enumerate(_root_product(a)))
 
 
 def _divide_by_root(coeffs, r):
@@ -420,18 +493,19 @@ def wilson_embed(point):
     A = R_i(a_i), B = R_i'(a_i) and alpha_i = s/t, column i is
     R_i(w) (A D t - (s A + B D t)(w - a_i)) / (A^2 D t), so its z^k
     coefficient is h_k D^k / (A^2 D t); ideal coefficient k is q_k / D^(n-k).
+    Each column is reduced over its own denominator, which gives the
+    column-cleared integers the EmbeddedPoint keeps, and the subspace is
+    built over the least common multiple of those denominators.
     """
     n = point.n
     d, (a,) = _cleared([point.y])
     d_powers = [d**k for k in range(2 * n)]
-    q = [1]
-    for r in a:
-        q = [lo - r * hi for lo, hi in zip([0] + q, q + [0])]
+    q = _root_product(a)
     square = [0] * (2 * n + 1)
     for i, qi in enumerate(q):
         for j, qj in enumerate(q):
             square[i + j] += qi * qj
-    columns = []
+    columns, dens = [], []
     for a_i, alpha_i in zip(a, point.alpha):
         r_i = _divide_by_root(_divide_by_root(square, a_i), a_i)
         big_a, big_b = _scaled_value_and_derivative(r_i, a_i, 1)  # A is nonzero
@@ -439,10 +513,17 @@ def wilson_embed(point):
         slope = alpha_i.numerator * big_a + big_b * dt
         constant = big_a * dt + slope * a_i  # h = R_i(w) (constant - slope w)
         h = [constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)]
-        den = big_a * big_a * dt
-        columns.append([Fraction(h_k * d_k, den) for h_k, d_k in zip(h, d_powers)])
+        column = [h_k * d_k for h_k, d_k in zip(h, d_powers)]
+        den_i = big_a * big_a * dt
+        g = gcd(den_i, *column)
+        columns.append(tuple(v // g for v in column))
+        dens.append(den_i // g)
+    den = lcm(*dens)
+    subspace = RationalMatrix._from_ints(
+        den, zip(*([v * (den // den_i) for v in column] for column, den_i in zip(columns, dens)))
+    )
     ideal = tuple(Fraction(q_k, d_powers[n - k]) for k, q_k in enumerate(q))
-    return EmbeddedPoint(ideal, RationalMatrix(list(zip(*columns))))
+    return EmbeddedPoint(ideal, subspace, tuple(columns))
 
 
 def component_line(point, y_i):
@@ -479,9 +560,7 @@ def monomial_subspace(exponents, ambient):
     exps = sorted(exponents, reverse=True)
     if any(e < 0 or e >= ambient for e in exps):
         raise ValueError(f"exponents {exps} outside ambient degree {ambient}")
-    return RationalMatrix(
-        [[Fraction(1) if e == r else Fraction(0) for e in exps] for r in range(ambient)]
-    )
+    return RationalMatrix._from_ints(1, [[int(e == r) for e in exps] for r in range(ambient)])
 
 
 def schubert_profile(subspace):

@@ -119,6 +119,24 @@ def test_batch_caps_refuse_before_enumerating(capsys, monkeypatch, argv, at_cap)
         main(at_cap)
 
 
+@pytest.mark.parametrize(
+    "argv, at_cap",
+    [
+        (["schur-p1n", "--n", "21"], ["schur-p1n", "--n", "20"]),
+        (["schur-p1n", "--N", "5", "--n", "1"], ["schur-p1n", "--N", "4", "--n", "1"]),
+        (["schur-p1n", "--N", "4", "--n", "11"], ["schur-p1n", "--N", "4", "--n", "10"]),
+    ],
+)
+def test_schur_p1n_caps_refuse_before_expanding(capsys, monkeypatch, argv, at_cap):
+    monkeypatch.setattr(cli, "expand_p1n", _refuse_enumeration)
+    monkeypatch.setattr(cli, "expand_p1n_wreath", _refuse_enumeration)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceeds the" in err
+    with pytest.raises(_Enumerated):  # the cap itself is accepted
+        main(at_cap)
+
+
 def test_tangent_batches_are_not_capped(capsys):
     code, out, _ = run_cli(capsys, "tangent", "--n", "21")
     assert code == 0 and len(out.splitlines()) == 792

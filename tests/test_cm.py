@@ -1,5 +1,6 @@
 """Exact matrix pairs, the rank-one condition, and the Grassmannian embedding."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -137,6 +138,60 @@ def test_matrix_dimension_errors():
         a.charpoly()
 
 
+_ENTRY = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+def _grids(rows, cols):
+    """Fraction grids of one shape: general, or the zero matrix."""
+    grid = st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return st.one_of(grid, st.just([[Fraction(0)] * cols for _ in range(rows)]))
+
+
+@st.composite
+def operand_grids(draw):
+    """Grids a and b of one shape r x k and p of shape k x m, 1x1 and non-square included."""
+    r, k, m = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    return draw(_grids(r, k)), draw(_grids(r, k)), draw(_grids(k, m))
+
+
+def _same_matrix(m, expected):
+    """m has exactly the Fraction entries expected, and equals and hashes like
+    the matrix the public constructor builds from them."""
+    expected = tuple(tuple(row) for row in expected)
+    built = RationalMatrix(expected)
+    assert m.entries == expected and (m.rows, m.cols) == (len(expected), len(expected[0]))
+    assert m == built and hash(m) == hash(built)
+
+
+@settings(deadline=None, max_examples=150)
+@given(operand_grids(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_matrix_operations_match_fraction_arithmetic(grids, c):
+    a_grid, b_grid, p_grid = grids
+    a, b, p = RationalMatrix(a_grid), RationalMatrix(b_grid), RationalMatrix(p_grid)
+    _same_matrix(a, a_grid)
+    _same_matrix(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a_grid, b_grid)])
+    _same_matrix(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a_grid, b_grid)])
+    _same_matrix(a @ p, [[sum((x * y for x, y in zip(r, col)), Fraction(0)) for col in zip(*p_grid)] for r in a_grid])
+    for scalar in (c, -c, 0, -1, 2):
+        _same_matrix(a.scaled(scalar), [[scalar * x for x in r] for r in a_grid])
+    _same_matrix(a.transpose(), list(zip(*a_grid)))
+    if a.rows == a.cols:
+        assert a.trace() == sum((a_grid[i][i] for i in range(a.rows)), Fraction(0))
+    diag = a_grid[0]
+    n = len(diag)
+    _same_matrix(RationalMatrix.diagonal(diag), [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    _same_matrix(RationalMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def test_integer_form_is_canonical_across_routes():
+    half = RationalMatrix([[Fraction(1, 2), Fraction(-3, 2)]])
+    _same_matrix(half + half, [[1, -3]])
+    _same_matrix(half.scaled(4), [[2, -6]])
+    _same_matrix(half - half, [[0, 0]])
+    _same_matrix(RationalMatrix._from_ints(6, [[2, -4], [0, 6]]), [[Fraction(1, 3), Fraction(-2, 3)], [0, 1]])
+    assert half != RationalMatrix([[1, -3]]) and half != half.entries
+
+
 def test_rank_golden():
     assert RationalMatrix.identity(5).rank() == 5
     assert RationalMatrix([[0]]).rank() == 0
@@ -186,12 +241,26 @@ def _pivot_shapes(rng):
     return shapes
 
 
+def _with_large_contents(a):
+    """a with its first row times 2^200 and its last row over 3^120: rows whose
+    integers carry a large common content."""
+    rows = [list(row) for row in a.entries]
+    rows[0] = [x * 2**200 for x in rows[0]]
+    rows[-1] = [x / 3**120 for x in rows[-1]]
+    return RationalMatrix(rows)
+
+
 def test_pivot_columns_match_fraction_elimination():
     rng = random.Random(2020)
     # the transposed bases schubert_profile reads, at the north star's sizes n = 12 and 20
     embedded = [wilson_embed(_seeded_point(rng, n)).subspace.transpose() for n in (12, 20)]
+    # an embedded basis whose columns get denominators from 1 to 7^110
+    subspace = wilson_embed(_seeded_point(rng, 12)).subspace
+    spread = subspace @ RationalMatrix.diagonal([Fraction(5 ** (3 * j), 7 ** (10 * j)) for j in range(12)])
+    shapes = _pivot_shapes(rng)
+    shapes += [_with_large_contents(a) for a in shapes if a.rows > 1] + [spread.transpose()]
     skipped = 0
-    for a in _pivot_shapes(rng) + embedded:
+    for a in shapes + embedded:
         expected = _fraction_pivot_columns(a)
         assert a._pivot_columns() == expected
         assert a.rank() == len(expected)
@@ -353,6 +422,36 @@ def test_poly_helpers():
     assert poly_eval(list(cubic), Fraction(3)) == 6
     assert poly_eval_derivative([1, 0, 1], Fraction(2)) == 4
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
+
+
+def _fraction_root_product(roots):
+    """prod (z - r) by the Fraction convolution loop, low-to-high coefficients."""
+    out = [Fraction(1)]
+    for r in roots:
+        step = [Fraction(0)] * (len(out) + 1)
+        for k, c in enumerate(out):
+            step[k] -= c * r
+            step[k + 1] += c
+        out = step
+    return tuple(out)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=9))
+def test_poly_from_roots_matches_fraction_product(roots):
+    coeffs = poly_from_roots(roots)
+    assert coeffs == _fraction_root_product(roots)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_poly_from_roots_edge_cases_and_embedding_ideal():
+    assert poly_from_roots([]) == (1,) and type(poly_from_roots([])[0]) is Fraction
+    mixed = [2, True, False, -3, Fraction(-5, 6), Fraction(7, 4)]
+    assert poly_from_roots(mixed) == _fraction_root_product([Fraction(r) for r in mixed])
+    rng = random.Random(2015)
+    for n in (1, 2, 5, 12, 20):
+        point = _seeded_point(rng, n)
+        assert wilson_embed(point).ideal == poly_from_roots(point.y)
 
 
 # -- embedding
@@ -557,6 +656,15 @@ def _per_column_embed(point):
     return poly_from_roots(y), tuple(tuple(col[r] for col in columns) for r in range(2 * n))
 
 
+def _fraction_cleared_columns(matrix):
+    """Each Fraction column times the least common multiple of its denominators."""
+    columns = []
+    for column in zip(*matrix.entries):
+        d = math.lcm(*(x.denominator for x in column))
+        columns.append(tuple(int(x * d) for x in column))
+    return tuple(columns)
+
+
 def _fraction_commutator(x, y):
     """YX - XY + Id from Fraction matrix products."""
     return (y @ x) - (x @ y) + RationalMatrix.identity(x.rows)
@@ -658,6 +766,7 @@ def test_charpoly_matches_sympy():
 def test_embedding_matches_per_column_oracle(point):
     embedded = wilson_embed(point)
     assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
+    assert embedded._columns == _fraction_cleared_columns(embedded.subspace)
     for y_i in point.y:
         assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
@@ -668,6 +777,7 @@ def test_embedding_matches_per_column_oracle_at_large_sizes():
         point = _seeded_point(rng, n)
         embedded = wilson_embed(point)
         assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
+        assert embedded._columns == _fraction_cleared_columns(embedded.subspace)
         for y_i in point.y:
             assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
@@ -717,6 +827,7 @@ def test_component_line_matches_fraction_horner(a, root, line):
     subspace = RationalMatrix([[col[r] for col in columns] for r in range(2 * n)])
     assume(subspace.rank() == n)
     embedded = EmbeddedPoint(poly_from_roots([root + k for k in range(n)]), subspace)
+    assert embedded._columns == _fraction_cleared_columns(subspace)
     assert component_line(embedded, root) == _fraction_horner_line(embedded, root)
 
 
