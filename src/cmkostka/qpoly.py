@@ -1,8 +1,12 @@
 """Exact Laurent polynomials in one variable q with integer coefficients.
 
 Coefficients are Python ints (arbitrary precision), stored sparsely as an
-exponent -> coefficient map with no zero entries.  Division is exact or it
-raises; there is no floating point anywhere.
+exponent -> coefficient map with no zero entries.  Storage stays sparse for
+every operation; a product picks its path from its factors: a schoolbook
+double loop over the terms when a factor has few terms or the factors are
+sparse over their exponent span, and otherwise Kronecker substitution, one
+big-integer product of the factors evaluated at a power of two.  Division is
+exact or it raises; there is no floating point anywhere.
 """
 
 from collections import Counter
@@ -22,6 +26,12 @@ class NonExactDivision(ArithmeticError):
         self.remainder = dict(remainder)
 
 
+# A product with a factor of at most this many terms takes the schoolbook
+# loop: below it, packing and unpacking the Kronecker integers costs more
+# than the loop saves.
+_SCHOOLBOOK_TERMS = 8
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial over the integers, immutable."""
 
@@ -35,6 +45,14 @@ class LaurentPoly:
                 if c != 0:
                     clean[index(exp)] = c
         object.__setattr__(self, "coeffs", clean)
+
+    @staticmethod
+    def _from_ints(coeffs):
+        """The polynomial holding coeffs, an exponent -> int map with no zero
+        values, taken as it is: no copy and no validation."""
+        poly = object.__new__(LaurentPoly)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -80,16 +98,31 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, by one of two paths chosen from the factors; either
+        way the result is stored sparsely, like its factors.
+
+        Kronecker substitution (_kronecker_mul) when both factors have more
+        than _SCHOOLBOOK_TERMS terms and the product's exponent span is below
+        the number of term pairs, so that the packed integers are not mostly
+        zero digits.  Otherwise, for small or sparse factors, the schoolbook
+        double loop over the terms.
+        """
+        a, b = self.coeffs, other.coeffs
+        if len(a) > _SCHOOLBOOK_TERMS and len(b) > _SCHOOLBOOK_TERMS:
+            a_min, b_min = min(a), min(b)
+            span = max(a) - a_min + max(b) - b_min
+            if span < len(a) * len(b):
+                return LaurentPoly._from_ints(_kronecker_mul(a, a_min, b, b_min, span))
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return LaurentPoly(out)
+        return LaurentPoly._from_ints(out)
 
     def __pow__(self, k):
         if k < 0:
@@ -154,6 +187,41 @@ class LaurentPoly:
     @staticmethod
     def from_json_dict(data):
         return LaurentPoly({int(e): int(c) for e, c in data.items()})
+
+
+def _kronecker_mul(a, a_min, b, b_min, span):
+    """Product of two nonzero exponent -> int maps with least exponents a_min
+    and b_min and product exponent span span, as a map with no zero values.
+
+    Each factor, shifted to start at q^0, is evaluated at q = 2^bits; the
+    integer product's signed base-2^bits digits, read from the lowest up,
+    are the product's coefficients.  No coefficient exceeds
+    bound = min(len(a), len(b)) * max|a| * max|b| in size, so bits =
+    bound.bit_length() + 1 leaves every digit in [-2^(bits-1), 2^(bits-1)).
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    bits = bound.bit_length() + 1
+    product = _evaluate_at_power_of_two(a, a_min, bits) * _evaluate_at_power_of_two(b, b_min, bits)
+    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = {}
+    for e in range(a_min + b_min, a_min + b_min + span + 1):
+        d = product & mask
+        product >>= bits
+        if d >= half:  # a negative digit borrows one from the digits above
+            d -= base
+            product += 1
+        if d:
+            out[e] = d
+    return out
+
+
+def _evaluate_at_power_of_two(coeffs, low, bits):
+    """Sum of c * 2^(bits * (e - low)) over the terms, by Horner's rule."""
+    value = 0
+    get = coeffs.get
+    for e in range(max(coeffs), low - 1, -1):
+        value = (value << bits) + get(e, 0)
+    return value
 
 
 ONE_MINUS = {}  # small cache of 1 - q^k factors
@@ -246,12 +314,12 @@ def one_minus_quotient(tops, bottoms):
             if left:
                 raise NonExactDivision(f"1 - q^{b} leaves remainder with exponents {sorted(left)}", left)
             deg -= b
-    return LaurentPoly(dict(enumerate(coeffs[: deg + 1])))
+    return LaurentPoly._from_ints({k: c for k, c in enumerate(coeffs[: deg + 1]) if c})
 
 
 def substitute_inverse(a):
     """Replace q by 1/q: negate every exponent."""
-    return LaurentPoly({-e: c for e, c in a.coeffs.items()})
+    return LaurentPoly._from_ints({-e: c for e, c in a.coeffs.items()})
 
 
 def evaluate_at_one(a):

@@ -24,6 +24,7 @@ from .characters import (
 )
 from .cm import (
     CMPointRegular,
+    RationalMatrix,
     component_line,
     cstar_act,
     involution,
@@ -394,8 +395,7 @@ def _check_rank_one_random_points(lim):
         if not ok:
             return items, f"y={[str(v) for v in point.y]}: commutator plus identity has rank {m.rank()}"
         column, row = witness
-        product = [[c * r for r in row] for c in column]
-        if any(product[i][j] != m.entries[i][j] for i in range(m.rows) for j in range(m.cols)):
+        if RationalMatrix([column]).transpose() @ RationalMatrix([row]) != m:
             return items, f"y={[str(v) for v in point.y]}: witness does not factor the matrix"
     return items, ""
 

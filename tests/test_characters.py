@@ -103,7 +103,9 @@ def _long_division_kostka(components):
 def test_kostka_matches_long_division_oracle():
     for n in range(11):
         for lam in enumerate_partitions(n):
-            assert kostka(lam) == _long_division_kostka([lam])
+            k = kostka(lam)
+            assert k == _long_division_kostka([lam])
+            assert 0 not in k.coeffs.values()
     for N in (1, 2, 3):
         for n in range(6):
             for gp in enumerate_gamma_partitions(N, n):

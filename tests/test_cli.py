@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, renderings, determinism, JSON schemas."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -306,6 +307,20 @@ def test_verify_all_crash_inside_a_check_is_a_failed_check(capsys, monkeypatch):
     assert f"FAIL {name}: raised ValueError: boom" in lines
 
 
+def test_rank_one_witness_that_does_not_factor_fails(monkeypatch):
+    real_verify_cm = verify.verify_cm
+
+    def perturbed_row(x, y):
+        ok, m, (column, row) = real_verify_cm(x, y)
+        return ok, m, (column, (row[0] + 1,) + row[1:])
+
+    monkeypatch.setattr(verify, "verify_cm", perturbed_row)
+    (result,) = verify.run_checks(names=["rank-one-random-points"], n=4, N=2, seed=3)
+    assert not result.passed
+    assert result.items == 1
+    assert result.detail.endswith(": witness does not factor the matrix")
+
+
 BAD_LIMITS = [
     ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"max_size": 0}, ValueError),
     ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
@@ -322,6 +337,21 @@ def test_run_checks_rejects_bad_limits_before_any_check(monkeypatch, limits, err
     # the spy does record a run with good limits; bool counts as an int
     verify.run_checks(n=True, N=2, max_size=3, seed=-4)
     assert [(lim.n, lim.N, lim.max_size, lim.seed) for lim in calls] == [(1, 2, 3, -4)]
+
+
+# SHA-256 of stdout for the batches whose characters take the dense products.
+LARGE_PRODUCT_STDOUT_SHA256 = [
+    (("character", "--n", "12"), "96d59c11ebd65f4ce55f78c550fdd4452917b619d9c5a4ae3f32f68776d1ed8f"),
+    (("character", "--N", "3", "--n", "6"), "5e3d49cf5087b4eb836097a1c1670ca12d8859d89545a6302d436f515cf1386a"),
+    (("kostka", "--n", "14"), "84b3c28f1a31ff814c7ecae3386bbab8835c82237a3bc0ccd64c6d2daac5959f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LARGE_PRODUCT_STDOUT_SHA256)
+def test_large_product_batches_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_console_entry_point_runs():

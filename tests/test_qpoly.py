@@ -1,6 +1,7 @@
 """Laurent polynomial ring, exact division, and the canonical renderings."""
 
 import json
+import time
 from fractions import Fraction
 from math import prod
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmkostka import qpoly
 from cmkostka.qpoly import (
+    _SCHOOLBOOK_TERMS,
     LaurentPoly,
     NonExactDivision,
     evaluate_at_one,
@@ -59,6 +62,124 @@ def test_multiplication_golden():
     assert (one_plus_q**0) == LaurentPoly.one()
     with pytest.raises(ValueError):
         one_plus_q ** (-1)
+
+
+def _schoolbook_mul(a, b):
+    """The double loop over the terms, on exponent maps: the earlier
+    LaurentPoly.__mul__, kept as an oracle for both product paths."""
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _assert_product_matches_oracle(a, b):
+    product = a * b
+    expected = LaurentPoly(_schoolbook_mul(a, b))
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert all(type(c) is int and c != 0 for c in product.coeffs.values())
+    return product
+
+
+def _kronecker_calls(monkeypatch):
+    calls = []
+    real = qpoly._kronecker_mul
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qpoly, "_kronecker_mul", spy)
+    return calls
+
+
+def _dense(n, start=0, coeff=lambda i: i + 1):
+    """n consecutive terms from q^start."""
+    return LaurentPoly({start + i: coeff(i) for i in range(n)})
+
+
+def _spread(n, top):
+    """n terms at q^0, q^1, ..., q^(n-2) and one at q^top."""
+    return LaurentPoly({**{i: i + 1 for i in range(n - 1)}, top: -n})
+
+
+T = _SCHOOLBOOK_TERMS
+PAIRS = (T + 1) ** 2  # term pairs of two (T + 1)-term factors
+PRODUCT_PATHS = [
+    # (a, b, takes the Kronecker path)
+    (LaurentPoly.zero(), _dense(30), False),
+    (LaurentPoly.term(-7, 3), _dense(30), False),
+    (_dense(T), _dense(40, start=-20), False),
+    (_dense(40, start=-20), _dense(T), False),
+    (_dense(T + 1), _dense(T + 1, start=-5, coeff=lambda i: (-1) ** i * 10**30), True),
+    # product exponent spans PAIRS - 1 and PAIRS: one below the number of
+    # term pairs, and equal to it
+    (_dense(T + 1), _spread(T + 1, PAIRS - 1 - T), True),
+    (_dense(T + 1), _spread(T + 1, PAIRS - T), False),
+    (_spread(T + 1, PAIRS - T).shifted(-9), _dense(T + 1, start=4), False),
+]
+
+
+@pytest.mark.parametrize("a, b, kronecker", PRODUCT_PATHS)
+def test_product_paths_match_schoolbook_oracle(monkeypatch, a, b, kronecker):
+    calls = _kronecker_calls(monkeypatch)
+    _assert_product_matches_oracle(a, b)
+    assert len(calls) == kronecker
+
+
+@pytest.mark.parametrize("k", [1, 5, T, T + 1, 30])
+def test_product_cancellation(k):
+    run = LaurentPoly({i: 1 for i in range(k + 1)})
+    assert _assert_product_matches_oracle(run, one_minus_q(1)) == LaurentPoly({0: 1, k + 1: -1})
+    # (1 - q) * c has len(c) + 1 terms, so both factors take the Kronecker
+    # path when they are long enough; the product keeps only 1 - q^(k+1) times c
+    c = _dense(12)
+    product = _assert_product_matches_oracle(run, one_minus_q(1) * c)
+    assert product == c - c.shifted(k + 1)
+
+
+@pytest.mark.parametrize("t", [T + 1, T + 4, 31])
+@pytest.mark.parametrize("m", [2**5 - 1, 2**5, 2**64 - 1, 2**64, 10**40], ids=["2^5-1", "2^5", "2^64-1", "2^64", "10^40"])
+def test_product_coefficient_bound_is_tight(t, m):
+    # the middle coefficient t * m^2 is exactly min(terms) * max|a| * max|b|
+    a = LaurentPoly({i: m for i in range(t)})
+    assert _assert_product_matches_oracle(a, a).coeffs[t - 1] == t * m * m
+    assert _assert_product_matches_oracle(-a, a).coeffs[t - 1] == -t * m * m
+
+
+wide_laurent_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(
+        st.integers(min_value=-20, max_value=60),
+        st.one_of(st.integers(min_value=-3, max_value=3), st.integers(min_value=-(10**40), max_value=10**40)),
+        max_size=40,
+    ),
+)
+
+
+@given(wide_laurent_polys, wide_laurent_polys)
+def test_product_matches_schoolbook_oracle(a, b):
+    _assert_product_matches_oracle(a, b)
+    _assert_product_matches_oracle(b, a)
+
+
+def test_sparse_wide_product_takes_the_schoolbook_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sparse product was packed for Kronecker substitution")
+
+    monkeypatch.setattr(qpoly, "_kronecker_mul", refuse)
+    a = LaurentPoly({10**5 * i: (-1) ** i * (i + 1) for i in range(20)})
+    b = LaurentPoly({10**5 * i - 7: 3 * i + 1 for i in range(20)})
+    start = time.perf_counter()
+    _assert_product_matches_oracle(a, b)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_shift_truncate_exponents():
@@ -229,6 +350,11 @@ def test_one_minus_quotient_golden():
     assert one_minus_quotient([1, 2, 3, 4], [1, 2, 1, 2]).coeffs == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
 
 
+def test_one_minus_quotient_drops_zero_coefficients():
+    # (1 - q^2)(1 - q^3): the q^1 and q^4 coefficients are zero
+    assert one_minus_quotient([2, 3], []).coeffs == {0: 1, 2: -1, 3: -1, 5: 1}
+
+
 def test_one_minus_quotient_rejects_non_exact_division():
     with pytest.raises(NonExactDivision) as err:
         one_minus_quotient([1, 2, 3], [3, 2, 2])
@@ -311,6 +437,13 @@ def test_division_recovers_factor(a, b):
 @given(laurent_polys)
 def test_inverse_substitution_is_involutive(a):
     assert substitute_inverse(substitute_inverse(a)) == a
+
+
+@given(wide_laurent_polys)
+def test_inverse_substitution_is_canonical(a):
+    inverse = substitute_inverse(a)
+    assert inverse.coeffs == {-e: c for e, c in a.coeffs.items()}
+    assert 0 not in inverse.coeffs.values()
 
 
 @given(laurent_polys, laurent_polys)
