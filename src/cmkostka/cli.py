@@ -77,34 +77,36 @@ def _check_batch(N, n):
 
 
 def _labels_for(args, capped=False):
-    """Resolve --partition/--gamma-partition/--n [--N] into a list of labels.
+    """Resolve --partition/--gamma-partition/--n [--N] into (labels, single).
 
-    --N is a usage error with --partition, and with --gamma-partition unless
-    it equals the label's component count.  With capped, an --n batch above
-    the caps is refused before it is enumerated.
+    single is true when one label was named rather than an --n batch, which
+    renders as a batch even when it holds one label.  --N is a usage error
+    with --partition, and with --gamma-partition unless it equals the label's
+    component count.  With capped, an --n batch above the caps is refused
+    before it is enumerated.
     """
     N = getattr(args, "N", None)
     if args.partition is not None:
         if N is not None:
             raise ValueError("--N does not apply to --partition")
-        return [parse_partition(args.partition)]
+        return [parse_partition(args.partition)], True
     if getattr(args, "gamma_partition", None) is not None:
         label = parse_gamma_partition(args.gamma_partition)
         if N is not None and N != label.N:
             raise ValueError(f"--N {N} but {label} has {label.N} components")
-        return [label]
+        return [label], True
     if capped:
         _check_batch(N, args.n)
     if N is not None:
-        return list(enumerate_gamma_partitions(N, args.n))
-    return list(enumerate_partitions(args.n))
+        return list(enumerate_gamma_partitions(N, args.n)), False
+    return list(enumerate_partitions(args.n)), False
 
 
 def _cmd_kostka(args):
-    labels = _labels_for(args, capped=True)
+    labels, single = _labels_for(args, capped=True)
     if args.json:
         entries = [_kostka_entry(label)[0] for label in labels]
-        _emit_json(entries[0] if len(labels) == 1 and args.n is None else entries)
+        _emit_json(entries[0] if single else entries)
         return 0
     for label in labels:
         _, poly = _kostka_entry(label)
@@ -113,7 +115,7 @@ def _cmd_kostka(args):
 
 
 def _cmd_character(args):
-    labels = _labels_for(args, capped=True)
+    labels, single = _labels_for(args, capped=True)
     reports = [character(label) for label in labels]
     if args.json:
         entries = [
@@ -125,9 +127,9 @@ def _cmd_character(args):
             }
             for r in reports
         ]
-        _emit_json(entries[0] if len(labels) == 1 and args.n is None else entries)
+        _emit_json(entries[0] if single else entries)
         return 0
-    if len(reports) == 1 and args.n is None:
+    if single:
         r = reports[0]
         _emit(f"lambda: {r.label}")
         _emit(f"kostka: {r.kostka}")
@@ -140,13 +142,13 @@ def _cmd_character(args):
 
 
 def _cmd_tangent(args):
-    labels = _labels_for(args)
+    labels, single = _labels_for(args)
     if args.json:
         entries = [
             {"lambda": str(label), "weights": [str(w) for w in tangent_weights(label)]}
             for label in labels
         ]
-        _emit_json(entries[0] if len(labels) == 1 and args.n is None else entries)
+        _emit_json(entries[0] if single else entries)
         return 0
     for label in labels:
         weights = tangent_weights(label)
@@ -213,14 +215,8 @@ def _cmd_wreath(args):
     return 0 if verified else 1
 
 
-def _point_from_args(args):
-    if len(args.y) != len(args.alpha):
-        raise ValueError(f"{len(args.y)} eigenvalues but {len(args.alpha)} parameters")
-    return CMPointRegular(args.y, args.alpha)
-
-
 def _cmd_cm_verify(args):
-    point = _point_from_args(args)
+    point = CMPointRegular(args.y, args.alpha)
     x, y = wilson_representative(point)
     ok, m, witness = verify_cm(x, y)
     if args.json:
@@ -252,7 +248,7 @@ def _cmd_cm_verify(args):
 
 
 def _cmd_cm_embed(args):
-    point = _point_from_args(args)
+    point = CMPointRegular(args.y, args.alpha)
     embedded = wilson_embed(point)
     if args.json:
         _emit_json(

@@ -20,7 +20,7 @@ rather than being coerced.
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .partitions import Partition
 
@@ -556,8 +556,11 @@ def component_line(point, y_i):
 
 
 def monomial_subspace(exponents, ambient):
-    """Coordinate subspace spanned by the given monomial exponents, as a basis matrix."""
-    exps = sorted(exponents, reverse=True)
+    """Coordinate subspace spanned by the given monomial exponents, as a basis matrix.
+
+    Each exponent must be an int (TypeError otherwise) in 0 <= e < ambient.
+    """
+    exps = sorted(map(index, exponents), reverse=True)
     if any(e < 0 or e >= ambient for e in exps):
         raise ValueError(f"exponents {exps} outside ambient degree {ambient}")
     return RationalMatrix._from_ints(1, [[int(e == r) for e in exps] for r in range(ambient)])

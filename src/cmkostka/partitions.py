@@ -84,7 +84,7 @@ class Partition:
 
     def hook(self, row, col):
         """Hook length of the cell: arm + leg + 1."""
-        if row >= len(self.parts) or col >= self.parts[row]:
+        if row < 0 or col < 0 or row >= len(self.parts) or col >= self.parts[row]:
             raise ValueError(f"cell ({row},{col}) outside diagram {self.parts}")
         arm = self.parts[row] - col - 1
         leg = sum(1 for r in range(row + 1, len(self.parts)) if self.parts[r] > col)
@@ -162,8 +162,11 @@ class GammaPartition:
         return GammaPartition(self.components[:index] + (part,) + self.components[index + 1:])
 
     def permuted(self, perm):
-        """Reindex the component slots by perm (slot i of the result is component perm[i])."""
-        return GammaPartition(tuple(self.components[perm[i]] for i in range(len(perm))))
+        """Reindex the component slots by perm, a permutation of range(N):
+        slot i of the result is component perm[i]."""
+        if sorted(perm) != list(range(self.N)):
+            raise ValueError(f"{perm} is not a permutation of the {self.N} component slots")
+        return GammaPartition(tuple(self.components[i] for i in perm))
 
 
 def _partition_tuples(n):

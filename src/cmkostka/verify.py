@@ -1,10 +1,13 @@
 """One-shot verification suite: every module invariant as a named check.
 
-Each check walks its enumerated work items, counts them, and stops at the
-first falsified identity, reporting the offending label and both sides.
-Randomized checks derive a private generator from the seed and the check
-name, so results do not depend on execution order.  A check that raises
-counts as failed, with the exception named in its detail.
+Each check is a generator: it yields once per work item as it starts it,
+returns a detail naming the offending label and both sides at the first
+falsified identity, and returns nothing when every item holds.  The runner
+_counted counts the yields, so each registry entry is an eager callable that
+does all of the check's work and returns (items, detail), detail "" on a
+pass.  Randomized checks derive a private generator from the seed and the
+check name, so results do not depend on execution order.  A check that
+raises counts as failed, with 0 items and the exception named in its detail.
 """
 
 import operator
@@ -94,57 +97,47 @@ def _partitions_up_to(bound):
 
 
 def _check_hook_count_and_sum(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         hooks = hook_lengths(lam)
         expected = lam.weighted_size() + lam.conjugate().weighted_size() + lam.size
         if len(hooks) != lam.size or sum(hooks) != expected:
-            return items, f"lambda={lam}: hooks {hooks} vs size {lam.size}, sum {sum(hooks)} != {expected}"
-    return items, ""
+            return f"lambda={lam}: hooks {hooks} vs size {lam.size}, sum {sum(hooks)} != {expected}"
 
 
 def _check_hook_conjugation(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         if hook_lengths(lam) != hook_lengths(lam.conjugate()):
-            return items, f"lambda={lam}: hooks {hook_lengths(lam)} != conjugate hooks {hook_lengths(lam.conjugate())}"
-    return items, ""
+            return f"lambda={lam}: hooks {hook_lengths(lam)} != conjugate hooks {hook_lengths(lam.conjugate())}"
 
 
 def _check_tableau_count_oracle(lim):
     bound = lim.cap_n(10 if lim.max_size is None else min(10, lim.max_size))
-    items = 0
     for lam in _partitions_up_to(bound):
-        items += 1
+        yield
         formula = syt_count(lam)
         enumerated = syt_enumerate(lam, max_size=bound)
         if formula != enumerated:
-            return items, f"lambda={lam}: hook formula {formula} != corner recursion {enumerated}"
-    return items, ""
+            return f"lambda={lam}: hook formula {formula} != corner recursion {enumerated}"
 
 
 def _check_tableau_square_sum(lim):
-    items = 0
     for n in range(lim.cap_n(10) + 1):
-        items += 1
+        yield
         total = sum(syt_count(lam) ** 2 for lam in enumerate_partitions(n))
         if total != factorial(n):
-            return items, f"n={n}: sum of squared tableau counts {total} != {factorial(n)}"
-    return items, ""
+            return f"n={n}: sum of squared tableau counts {total} != {factorial(n)}"
 
 
 def _check_wreath_order_sum(lim):
-    items = 0
     for N in range(1, lim.cap_N(4) + 1):
         for n in range(lim.cap_n(6) + 1):
-            items += 1
+            yield
             total = sum(gamma_dimension(gp) ** 2 for gp in enumerate_gamma_partitions(N, n))
             expected = N**n * factorial(n)
             if total != expected:
-                return items, f"N={N} n={n}: sum of squared dimensions {total} != {expected}"
-    return items, ""
+                return f"N={N} n={n}: sum of squared dimensions {total} != {expected}"
 
 
 def _random_laurent(rng, nonzero=False):
@@ -157,103 +150,86 @@ def _random_laurent(rng, nonzero=False):
 
 def _check_division_round_trip(lim):
     rng = lim.rng("division-round-trip")
-    items = 0
     for _ in range(60):
-        items += 1
+        yield
         a = _random_laurent(rng)
         b = _random_laurent(rng, nonzero=True)
         if exact_divide(a * b, b) != a:
-            return items, f"(a*b)/b != a for a = {a}, b = {b}"
-    return items, ""
+            return f"(a*b)/b != a for a = {a}, b = {b}"
 
 
 def _check_inverse_substitution(lim):
     rng = lim.rng("inverse-substitution")
-    items = 0
     for _ in range(60):
-        items += 1
+        yield
         a = _random_laurent(rng)
         b = _random_laurent(rng)
         if substitute_inverse(substitute_inverse(a)) != a:
-            return items, f"double inversion changed {a}"
+            return f"double inversion changed {a}"
         if substitute_inverse(a * b) != substitute_inverse(a) * substitute_inverse(b):
-            return items, f"inversion not multiplicative on a = {a}, b = {b}"
+            return f"inversion not multiplicative on a = {a}, b = {b}"
         if substitute_inverse(a + b) != substitute_inverse(a) + substitute_inverse(b):
-            return items, f"inversion not additive on a = {a}, b = {b}"
-    return items, ""
+            return f"inversion not additive on a = {a}, b = {b}"
 
 
 def _check_evaluation_multiplicative(lim):
     rng = lim.rng("evaluation-multiplicative")
-    items = 0
     for _ in range(60):
-        items += 1
+        yield
         a = _random_laurent(rng)
         b = _random_laurent(rng)
         if evaluate_at_one(a * b) != evaluate_at_one(a) * evaluate_at_one(b):
-            return items, f"value at 1 not multiplicative on a = {a}, b = {b}"
-    return items, ""
+            return f"value at 1 not multiplicative on a = {a}, b = {b}"
 
 
 def _check_tangent_negated_hooks(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(8)):
-        items += 1
+        yield
         weights = tangent_weights(lam)
         negated = tuple(sorted(-h for h in hook_lengths(lam)))
         if weights != negated:
-            return items, f"lambda={lam}: tangent weights {weights} != negated hooks {negated}"
-    return items, ""
+            return f"lambda={lam}: tangent weights {weights} != negated hooks {negated}"
 
 
 def _check_tangent_sign_split(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(8)):
-        items += 1
+        yield
         weights = tangent_weights(lam)
         if any(w >= 0 for w in weights):
-            return items, f"lambda={lam}: nonnegative tangent weight in {weights}"
+            return f"lambda={lam}: nonnegative tangent weight in {weights}"
         if set(weights) & {-w for w in weights}:
-            return items, f"lambda={lam}: weight sets of the two projections overlap"
-    return items, ""
+            return f"lambda={lam}: weight sets of the two projections overlap"
 
 
 def _check_kostka_normalization(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         k = kostka(lam)
         if k.coeffs.get(0) != 1 or k.min_exponent() != 0:
-            return items, f"lambda={lam}: constant term of {k} is not 1"
+            return f"lambda={lam}: constant term of {k} is not 1"
         if any(c < 0 for c in k.coeffs.values()):
-            return items, f"lambda={lam}: negative coefficient in {k}"
-    return items, ""
+            return f"lambda={lam}: negative coefficient in {k}"
 
 
 def _check_kostka_dimension(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         value = evaluate_at_one(kostka(lam))
         expected = syt_count(lam)
         if value != expected:
-            return items, f"lambda={lam}: value at 1 is {value}, tableau count {expected}"
-    return items, ""
+            return f"lambda={lam}: value at 1 is {value}, tableau count {expected}"
 
 
 def _check_kostka_conjugation(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         if kostka(lam) != kostka(lam.conjugate()):
-            return items, f"lambda={lam}: polynomial differs from conjugate's"
-    return items, ""
+            return f"lambda={lam}: polynomial differs from conjugate's"
 
 
 def _check_kostka_major_index(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(7)):
-        items += 1
+        yield
         shift = lam.weighted_size()
         counts = {}
         for rows in standard_tableaux(lam):
@@ -262,116 +238,103 @@ def _check_kostka_major_index(lim):
         oracle = LaurentPoly(counts)
         k = kostka(lam)
         if k != oracle:
-            return items, f"lambda={lam}: {k} != major-index polynomial {oracle}"
-    return items, ""
+            return f"lambda={lam}: {k} != major-index polynomial {oracle}"
 
 
 def _check_wreath_kostka_factorization(lim):
-    items = 0
     for N in range(1, lim.cap_N(3) + 1):
         for n in range(lim.cap_n(6) + 1):
             for gp in enumerate_gamma_partitions(N, n):
-                items += 1
+                yield
                 sizes = [c.size for c in gp.components]
                 product = qmultinomial(n, sizes)
                 for comp in gp.components:
                     product = product * kostka(comp)
                 whole = kostka_wreath(gp)
                 if whole != product:
-                    return items, f"Lambda={gp}: {whole} != factored form {product}"
-    return items, ""
+                    return f"Lambda={gp}: {whole} != factored form {product}"
 
 
 def _check_character_palindrome_square(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(10)):
-        items += 1
+        yield
         report = character(lam)
         if not report.character.is_palindromic():
-            return items, f"lambda={lam}: character {report.character} not palindromic"
+            return f"lambda={lam}: character {report.character} not palindromic"
         if evaluate_at_one(report.character) != report.dimension**2:
-            return items, (
+            return (
                 f"lambda={lam}: character at 1 is {evaluate_at_one(report.character)},"
                 f" dimension squared {report.dimension ** 2}"
             )
-    return items, ""
 
 
 def _check_completion_series(lim):
-    items = 0
     for lam in _partitions_up_to(lim.cap_n(6)):
         if lam.size == 0:
             continue
-        items += 1
+        yield
         order = 2 * lam.size + 6
         hooks = None
         if lim.corrupt_hooks:
             genuine = hook_lengths(lam)
             hooks = (genuine[0] + 1,) + genuine[1:]
         if not completion_character_check(lam, order, hooks=hooks):
-            return items, (
+            return (
                 f"lambda={lam}: truncated hook series times the q-factorial"
                 f" disagrees with the polynomial through order {order}"
             )
-    return items, ""
 
 
 def _check_multiplicity_hook_oracle(lim):
-    items = 0
     for n in range(1, lim.cap_n(8) + 1):
         expansion = expand_p1n(n)
         for lam in enumerate_partitions(n):
-            items += 1
+            yield
             m = expansion.coefficients.get(lam, 0)
             expected = syt_count(lam)
             if m != expected:
-                return items, f"lambda={lam}: path count {m} != hook formula {expected}"
-    return items, ""
+                return f"lambda={lam}: path count {m} != hook formula {expected}"
 
 
 def _check_multiplicity_square_sum(lim):
-    items = 0
     for n in range(1, lim.cap_n(8) + 1):
-        items += 1
+        yield
         total = expand_p1n(n).sum_of_squares()
         if total != factorial(n):
-            return items, f"n={n}: sum of squared multiplicities {total} != {factorial(n)}"
-    return items, ""
+            return f"n={n}: sum of squared multiplicities {total} != {factorial(n)}"
 
 
 def _check_wreath_multiplicity_square_sum(lim):
-    items = 0
     for N in range(1, lim.cap_N(3) + 1):
         for n in range(1, lim.cap_n(5) + 1):
-            items += 1
+            yield
             total = expand_p1n_wreath(N, n).sum_of_squares()
             expected = N**n * factorial(n)
             if total != expected:
-                return items, f"N={N} n={n}: sum of squared multiplicities {total} != {expected}"
-    return items, ""
+                return f"N={N} n={n}: sum of squared multiplicities {total} != {expected}"
 
 
 def _check_wreath_slot_symmetry(lim):
-    items = 0
     for N in range(2, lim.cap_N(3) + 1):
         for n in range(1, lim.cap_n(5) + 1):
             expansion = expand_p1n_wreath(N, n)
             for perm in permutations(range(N)):
-                items += 1
+                yield
                 relabeled = {gp.permuted(perm): m for gp, m in expansion.coefficients.items()}
                 if relabeled != expansion.coefficients:
-                    return items, f"N={N} n={n}: slot permutation {perm} changed the expansion"
-    return items, ""
+                    return f"N={N} n={n}: slot permutation {perm} changed the expansion"
 
 
 def _check_wreath_dimension_chain(lim):
-    items = 0
     for N in range(1, lim.cap_N(4) + 1):
         for n in range(lim.cap_n(6) + 1):
-            items += 1
+            yield
             if not multiplicity_identity_check(N, n):
-                return items, f"N={N} n={n}: dimension bookkeeping failed"
-    return items, ""
+                return f"N={N} n={n}: dimension bookkeeping failed"
+
+
+def _y_label(point):
+    return f"y={[str(v) for v in point.y]}"
 
 
 def _random_points(rng, count, max_n):
@@ -388,89 +351,76 @@ def _random_points(rng, count, max_n):
 
 def _check_rank_one_random_points(lim):
     rng = lim.rng("rank-one-random-points")
-    items = 0
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
-        items += 1
+        yield
         ok, m, witness = verify_cm(*wilson_representative(point))
         if not ok:
-            return items, f"y={[str(v) for v in point.y]}: commutator plus identity has rank {m.rank()}"
+            return f"{_y_label(point)}: commutator plus identity has rank {m.rank()}"
         column, row = witness
         if RationalMatrix([column]).transpose() @ RationalMatrix([row]) != m:
-            return items, f"y={[str(v) for v in point.y]}: witness does not factor the matrix"
-    return items, ""
+            return f"{_y_label(point)}: witness does not factor the matrix"
 
 
 def _check_scaling_preserves_rank_one(lim):
     rng = lim.rng("scaling-preserves-rank-one")
-    items = 0
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
-        items += 1
+        yield
         x, y = wilson_representative(point)
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
         if not verify_cm(*cstar_act(c, x, y))[0]:
-            return items, f"y={[str(v) for v in point.y]}, c={c}: scaling broke the rank-one condition"
-    return items, ""
+            return f"{_y_label(point)}, c={c}: scaling broke the rank-one condition"
 
 
 def _check_involution_preserves_rank_one(lim):
     rng = lim.rng("involution-preserves-rank-one")
-    items = 0
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
-        items += 1
+        yield
         x, y = wilson_representative(point)
         if not verify_cm(*involution(x, y))[0]:
-            return items, f"y={[str(v) for v in point.y]}: involution broke the rank-one condition"
+            return f"{_y_label(point)}: involution broke the rank-one condition"
         xi, yi = involution(*involution(x, y))
         if xi != x or yi != y:
-            return items, f"y={[str(v) for v in point.y]}: applying the involution twice changed the pair"
-    return items, ""
+            return f"{_y_label(point)}: applying the involution twice changed the pair"
 
 
 def _check_eigenvalue_polynomial(lim):
     rng = lim.rng("eigenvalue-polynomial")
-    items = 0
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
-        items += 1
+        yield
         x, y = wilson_representative(point)
         char_y = y.charpoly()
         expected = poly_from_roots(point.y)
         if char_y != expected:
-            return items, f"y={[str(v) for v in point.y]}: characteristic polynomial mismatch"
-    return items, ""
+            return f"{_y_label(point)}: characteristic polynomial mismatch"
 
 
 def _check_profile_round_trip(lim):
-    items = 0
     for n in range(1, lim.cap_n(6) + 1):
         for lam in enumerate_partitions(n):
-            items += 1
+            yield
             exponents = fixed_point_exponents(lam)
             subspace = monomial_subspace(exponents, 2 * n)
             recovered = schubert_profile(subspace)
             if recovered != lam:
-                return items, f"lambda={lam}: profile of its fixed subspace came back as {recovered}"
-    return items, ""
+                return f"lambda={lam}: profile of its fixed subspace came back as {recovered}"
 
 
 def _check_embedding_component_lines(lim):
     rng = lim.rng("embedding-component-lines")
-    items = 0
     for point in _random_points(rng, 30, min(5, lim.cap_n(12))):
         embedded = wilson_embed(point)
         for y_i, a_i in zip(point.y, point.alpha):
-            items += 1
+            yield
             line = component_line(embedded, y_i)
             if line != (Fraction(1), -a_i):
-                return items, f"y_i={y_i}: projected line {line} != (1, {-a_i})"
-    return items, ""
+                return f"y_i={y_i}: projected line {line} != (1, {-a_i})"
 
 
 def _check_embedding_block_factorization(lim):
     rng = lim.rng("embedding-block-factorization")
-    items = 0
     max_n = min(4, lim.cap_n(12))
     for _ in range(20):
-        items += 1
+        yield
         m = rng.randint(1, max_n)
         k = rng.randint(1, max_n)
         den = rng.choice((1, 2))
@@ -485,16 +435,30 @@ def _check_embedding_block_factorization(lim):
         )
         joint = wilson_embed(first.concatenated(second))
         if joint.ideal != tuple(poly_mul(list(wilson_embed(first).ideal), list(wilson_embed(second).ideal))):
-            return items, "joint ideal is not the product of the two factors"
+            return "joint ideal is not the product of the two factors"
         for part in (first, second):
             small = wilson_embed(part)
             for y_i in part.y:
                 if component_line(joint, y_i) != component_line(small, y_i):
-                    return items, f"component line at {y_i} differs between joint and factor embeddings"
-    return items, ""
+                    return f"component line at {y_i} differs between joint and factor embeddings"
 
 
-_REGISTRY = (
+def _counted(check):
+    """The registry entry for a check generator: run it to its end, return (items, detail)."""
+
+    def run(lim):
+        steps, items = check(lim), 0
+        try:
+            while True:
+                next(steps)
+                items += 1
+        except StopIteration as stop:
+            return items, stop.value or ""
+
+    return run
+
+
+_REGISTRY = tuple((name, _counted(check)) for name, check in (
     ("hook-count-and-sum", _check_hook_count_and_sum),
     ("hook-conjugation-invariance", _check_hook_conjugation),
     ("tableau-count-oracle", _check_tableau_count_oracle),
@@ -524,7 +488,7 @@ _REGISTRY = (
     ("profile-round-trip", _check_profile_round_trip),
     ("embedding-component-lines", _check_embedding_component_lines),
     ("embedding-block-factorization", _check_embedding_block_factorization),
-)
+))
 
 
 def _positive_or_none(name, value):

@@ -292,6 +292,30 @@ def test_identical_config_gives_identical_bytes(capsys):
     assert first == second
 
 
+# Item counts of `verify-all --json --inject-hook-corruption --n 4`, in registry
+# order; completion-series-consistency fails at its first item.
+CORRUPTED_N4_ITEMS = [12, 12, 12, 5, 20, 60, 60, 60, 12, 12, 12, 12, 12, 12, 136, 12, 1,
+                      11, 4, 12, 32, 20, 200, 200, 200, 200, 11, 79, 20]
+CORRUPTED_N4_DETAIL = (
+    "lambda=1: truncated hook series times the q-factorial disagrees with the polynomial through order 8"
+)
+
+
+def test_verify_all_json_failure_is_pinned(capsys):
+    checks = [
+        {
+            "name": name,
+            "passed": name != "completion-series-consistency",
+            "items": str(items),
+            "detail": "" if name != "completion-series-consistency" else CORRUPTED_N4_DETAIL,
+        }
+        for name, items in zip(verify.check_names(), CORRUPTED_N4_ITEMS, strict=True)
+    ]
+    expected = json.dumps({"seed": "0", "checks": checks, "passed": False}, indent=2) + "\n"
+    argv = ("verify-all", "--json", "--inject-hook-corruption", "--n", "4")
+    assert run_cli(capsys, *argv) == (1, expected, "")
+
+
 def test_verify_all_crash_inside_a_check_is_a_failed_check(capsys, monkeypatch):
     def crash(lim):
         raise ValueError("boom")
@@ -305,6 +329,21 @@ def test_verify_all_crash_inside_a_check_is_a_failed_check(capsys, monkeypatch):
     lines = out.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 28
     assert f"FAIL {name}: raised ValueError: boom" in lines
+    code, out, _ = run_cli(capsys, "verify-all", "--n", "3", "--N", "2", "--json")
+    assert code == 1
+    (crashed,) = [check for check in json.loads(out)["checks"] if not check["passed"]]
+    assert crashed == {"name": name, "passed": False, "items": "0", "detail": "raised ValueError: boom"}
+
+
+def test_registry_entries_do_their_work_when_called():
+    # Each entry returns (items, detail) itself, not a generator left for the
+    # caller to drive, so timing one call times the whole check.
+    pinned = [line.split() for line in VERIFY_ALL_DEFAULT.splitlines()[:-1]]  # PASS <name> (<items> items)
+    lim = verify._Limits(n=None, N=None, seed=0, corrupt_hooks=False)
+    for (name, fn), (_, pinned_name, items, _) in zip(verify._REGISTRY, pinned, strict=True):
+        result = fn(lim)
+        assert type(result) is tuple and type(result[0]) is int and type(result[1]) is str, name
+        assert (name, result) == (pinned_name, (int(items[1:]), ""))
 
 
 def test_rank_one_witness_that_does_not_factor_fails(monkeypatch):

@@ -543,6 +543,9 @@ def test_monomial_subspace_golden():
     assert [r for r in range(6) if m.entries[r][0] == 1] == [5]
     with pytest.raises(ValueError):
         monomial_subspace({6}, 6)
+    for exponents in ([3.0, 1.0], ["3", "1"], [3, Fraction(1)]):
+        with pytest.raises(TypeError):
+            monomial_subspace(exponents, 4)
 
 
 def test_profile_round_trips():

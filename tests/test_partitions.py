@@ -96,8 +96,10 @@ def test_cells_and_hooks_of_a_small_shape():
     assert list(lam.cells()) == [Cell(0, 0), Cell(0, 1), Cell(0, 2), Cell(1, 0)]
     assert lam.hook(0, 0) == 4
     assert hook_lengths(lam) == (4, 2, 1, 1)
-    with pytest.raises(ValueError):
-        lam.hook(1, 1)
+    # negative indices must not wrap round to the last row or column
+    for row, col in ((1, 1), (2, 0), (-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="outside diagram"):
+            lam.hook(row, col)
 
 
 def test_conjugate_golden():
@@ -174,6 +176,11 @@ def test_gamma_partition_basics():
     assert swapped == gp
     with pytest.raises(TypeError):
         GammaPartition(((1,),))
+    three = GammaPartition((Partition((2,)), Partition(()), Partition((1, 1))))
+    assert str(three.permuted((2, 0, 1))) == "1,1;2;-"
+    for perm in ((0,), (0, 0, 0), (0, 1, 3), (0, 1, 2, 3), (), (2, 1, -1)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            three.permuted(perm)
 
 
 def test_gamma_enumeration_count_via_convolution():
