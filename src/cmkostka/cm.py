@@ -3,18 +3,22 @@
 Everything here is computed over the rationals with no tolerances.  A
 RationalMatrix holds one integer form, a positive common denominator and
 integer rows sharing no factor with it, and every kernel reads and writes
-those integers: sums, products, scaling and transposes; one fraction-free
-(Bareiss) elimination on the content-reduced integer rows, whose pivot
-columns both matrix rank and the Schubert profile read; the commutator;
-characteristic polynomials by division-free Berkowitz on the integer
-matrix; the normal form; and the Grassmannian embedding by explicit
-congruence solving at each eigenvalue, over the common denominator of the
-eigenvalues.  Fraction entries are built only when a caller reads them.  An
-embedded subspace's full column rank is certified modulo the prime 2^61 - 1
-from its column-cleared integers (rank can only drop modulo a prime), with
-exact elimination as the fallback only when a column finds no pivot there.
-Entries and scalars must be Fraction or int; anything else raises TypeError
-rather than being coerced.
+those integers: sums, scaling and transposes; products and the commutator
+through one integer product that skips the zeros of a sparse factor, so a
+diagonal factor costs O(n^2); one fraction-free (Bareiss) elimination on the
+content-reduced integer rows, whose pivot columns both matrix rank and the
+Schubert profile read; characteristic polynomials by division-free Berkowitz
+on the integer matrix; the normal form; and the Grassmannian embedding by
+explicit congruence solving at each eigenvalue, over the common denominator
+of the eigenvalues.  Fraction entries are built only when a caller reads
+them.  An embedded point holds one form, its ideal and its basis columns
+each cleared to integers over its own denominator; its subspace matrix is
+built on first read.  One incremental row echelon modulo the prime 2^61 - 1
+serves two certificates, since rank can only drop modulo a prime: the
+embedded columns' full rank, and the big cell n^n of a Schubert profile
+(the top n x n block nonsingular).  Exact elimination decides only when a
+certificate fails.  Entries and scalars must be Fraction or int; anything
+else raises TypeError rather than being coerced.
 """
 
 from fractions import Fraction
@@ -157,10 +161,7 @@ class RationalMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        other_cols = list(zip(*other._ints))
-        return RationalMatrix._from_ints(
-            self._den * other._den, [[sum(map(mul, row, col)) for col in other_cols] for row in self._ints]
-        )
+        return RationalMatrix._from_ints(self._den * other._den, _int_product(self._ints, other._ints))
 
     def scaled(self, c):
         c = _frac(c)
@@ -239,38 +240,86 @@ class RationalMatrix:
         return tuple(Fraction(c, d ** j) for j, c in enumerate(poly))[::-1]
 
 
-def _cleared_columns(matrix):
-    """Each column cleared to integers over its own common denominator: the
-    integer column divided by its gcd with the matrix's denominator."""
-    den = matrix._den
+def _row_combinations(a, b):
+    """Integer rows of a b, each row of the product summed from the rows of b
+    over the nonzero entries of the matching row of a."""
     out = []
-    for column in zip(*matrix._ints):
-        g = gcd(den, *column)
-        out.append(tuple(v // g for v in column))
-    return tuple(out)
+    for row in a:
+        acc = None
+        for a_k, b_k in zip(row, b):
+            if a_k:
+                term = [a_k * v for v in b_k]
+                acc = term if acc is None else list(map(add, acc, term))
+        out.append(acc or [0] * len(b[0]))
+    return out
 
 
-def _full_column_rank(matrix, columns):
-    """Whether the columns are linearly independent over the rationals.
+def _sparse_rows(rows):
+    """Whether every row has at most a third of its entries nonzero."""
+    return all(3 * (len(row) - row.count(0)) <= len(row) for row in rows)
 
-    Fraction-free elimination modulo the prime 2^61 - 1 on the
-    column-cleared integers certifies full rank, since scaling a column
-    keeps the rank and rank can only drop modulo a prime.  When a column
-    finds no pivot there, the exact rank decides.
+
+def _int_product(a, b):
+    """Integer rows of the product of the integer rows a (r x k) and b (k x m).
+
+    When every row of a factor is at most a third nonzero, the product skips
+    its zeros: rows of b combined over the nonzero entries of a, or, for b,
+    the same on the transposes, (b^t a^t)^t.  A diagonal factor then costs
+    O(n^2).  An outer product (k = 1) is the rows of b scaled.  Otherwise
+    every entry is one dot product of a row of a with a column of b.
     """
-    rows = [[x % _PRIME for x in row] for row in zip(*columns)]
-    for c in range(matrix.cols):
-        pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            return matrix.rank() == matrix.cols
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        lead = rows[c]
-        p = lead[c]
-        for i in range(c + 1, len(rows)):
-            f = rows[i][c]
+    if len(b) == 1 or _sparse_rows(a):
+        return _row_combinations(a, b)
+    if _sparse_rows(b):
+        return list(zip(*_row_combinations(list(zip(*b)), list(zip(*a)))))
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+
+
+def _independent_rows_mod_p(rows, need):
+    """Indices of the integer rows, taken in order, that are independent of
+    the rows before them modulo the prime _PRIME; stops at need of them.
+
+    An incremental row echelon form: each new row is reduced against the
+    leads found so far, and a row left nonzero becomes a lead, scaled so that
+    its first nonzero entry, its pivot, is 1.  A lead is zero before its
+    pivot and every later lead is zero at it, so a reduction touches only
+    the entries after the pivot.  The reductions of one row skip the modulus
+    and the row is reduced once at the end; after k of them an entry stays
+    below (k + 1) p^2.  Rank can only drop modulo a prime, so rows found
+    independent here are independent over the rationals too.
+    """
+    leads = []  # (pivot column, the lead's entries after it)
+    found = []
+    for i, row in enumerate(rows):
+        r = [v % _PRIME for v in row]
+        for c, tail in leads:
+            f = r[c] % _PRIME
             if f:
-                rows[i] = [(a * p - f * b) % _PRIME for a, b in zip(rows[i], lead)]
-    return True
+                r[c] = 0
+                r[c + 1 :] = [v - f * w for v, w in zip(r[c + 1 :], tail)]
+        r = [v % _PRIME for v in r]
+        c = next((j for j, v in enumerate(r) if v), None)
+        if c is None:
+            continue
+        inverse = pow(r[c], -1, _PRIME)
+        leads.append((c, [v * inverse % _PRIME for v in r[c + 1 :]]))
+        found.append(i)
+        if len(found) == need:
+            break
+    return found
+
+
+def _full_column_rank(columns):
+    """Whether the integer columns are linearly independent over the rationals.
+
+    The columns are independent when as many of their rows are independent
+    modulo the prime.  When fewer are, the exact rank decides.
+    """
+    n = len(columns)
+    if len(_independent_rows_mod_p(zip(*columns), n)) == n:
+        return True
+    return RationalMatrix._from_ints(1, zip(*columns)).rank() == n
 
 
 class CMPointRegular:
@@ -305,27 +354,52 @@ class CMPointRegular:
 class EmbeddedPoint:
     """A codimension-n ideal (monic, as low-to-high coefficients) together with
     an n-dimensional subspace of the 2n-dimensional quotient, columns in the
-    monomial basis 1, z, ..., z^(2n-1).  Each column is also kept cleared to
-    integers over its own common denominator."""
+    monomial basis 1, z, ..., z^(2n-1).
 
-    __slots__ = ("ideal", "subspace", "_columns")
+    The point holds one form: the ideal, its coefficients cleared to
+    integers, and each basis column cleared to integers over its own common
+    denominator, with those denominators.  The subspace matrix is built over
+    their least common multiple on first read and kept.
+    """
 
-    def __init__(self, ideal, subspace, _columns=None):
-        """_columns, when given, must equal _cleared_columns(subspace):
-        wilson_embed passes the columns it has already reduced, which spares
-        recomputing their gcds with the subspace's large denominator."""
+    __slots__ = ("ideal", "_ideal_ints", "_columns", "_dens", "_subspace")
+
+    def __init__(self, ideal, subspace):
         ideal = tuple(_frac(c) for c in ideal)
         if not ideal or ideal[-1] != 1:
             raise ValueError("ideal generator must be monic")
         n = len(ideal) - 1
         if subspace.rows != 2 * n or subspace.cols != n:
             raise ValueError(f"subspace must be {2 * n}x{n}, got {subspace.rows}x{subspace.cols}")
-        columns = _cleared_columns(subspace) if _columns is None else _columns
-        if not _full_column_rank(subspace, columns):
+        _, (ideal_ints,) = _cleared([ideal])
+        den = subspace._den
+        self._hold(ideal, ideal_ints, [(den, column) for column in zip(*subspace._ints)], subspace)
+
+    @staticmethod
+    def _from_columns(ideal, ideal_ints, columns):
+        """The point whose basis columns are the integer columns over their
+        denominators, given as (denominator, column) pairs, for an ideal whose
+        coefficients are proportional to the integers ideal_ints."""
+        point = object.__new__(EmbeddedPoint)
+        point._hold(ideal, ideal_ints, columns, None)
+        return point
+
+    def _hold(self, ideal, ideal_ints, columns, subspace):
+        """Reduce each (denominator, column) pair by its gcd, check the
+        columns' full rank, and set the slots."""
+        reduced, dens = [], []
+        for den, column in columns:
+            g = gcd(den, *column)
+            reduced.append(tuple(v // g for v in column))
+            dens.append(den // g)
+        columns, dens = tuple(reduced), tuple(dens)
+        if not _full_column_rank(columns):
             raise ValueError("subspace columns must be linearly independent")
         object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "_ideal_ints", ideal_ints)
         object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_subspace", subspace)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedPoint is immutable")
@@ -333,6 +407,18 @@ class EmbeddedPoint:
     @property
     def n(self):
         return len(self.ideal) - 1
+
+    @property
+    def subspace(self):
+        """The basis as one matrix, columns in the monomial basis."""
+        subspace = self._subspace
+        if subspace is None:
+            den = lcm(*self._dens)
+            subspace = RationalMatrix._from_ints(
+                den, zip(*([v * (den // d) for v in column] for column, d in zip(self._columns, self._dens)))
+            )
+            object.__setattr__(self, "_subspace", subspace)
+        return subspace
 
 
 def wilson_representative(point):
@@ -366,16 +452,13 @@ def commutator_plus_identity(x, y):
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
     scale = x._den * y._den
-    x_rows, y_rows = x._ints, y._ints
-    x_cols, y_cols = list(zip(*x_rows)), list(zip(*y_rows))
+    yx = _int_product(y._ints, x._ints)
+    xy = _int_product(x._ints, y._ints)
     return RationalMatrix._from_ints(
         scale,
         [
-            [
-                sum(map(mul, y_row, x_col)) - sum(map(mul, x_row, y_col)) + (scale if i == j else 0)
-                for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols))
-            ]
-            for i, (x_row, y_row) in enumerate(zip(x_rows, y_rows))
+            [u - v + (scale if i == j else 0) for j, (u, v) in enumerate(zip(yx_row, xy_row))]
+            for i, (yx_row, xy_row) in enumerate(zip(yx, xy))
         ],
     )
 
@@ -493,9 +576,8 @@ def wilson_embed(point):
     A = R_i(a_i), B = R_i'(a_i) and alpha_i = s/t, column i is
     R_i(w) (A D t - (s A + B D t)(w - a_i)) / (A^2 D t), so its z^k
     coefficient is h_k D^k / (A^2 D t); ideal coefficient k is q_k / D^(n-k).
-    Each column is reduced over its own denominator, which gives the
-    column-cleared integers the EmbeddedPoint keeps, and the subspace is
-    built over the least common multiple of those denominators.
+    The EmbeddedPoint reduces each column over its own denominator; the
+    ideal's integers are q_k D^k, over D^n.
     """
     n = point.n
     d, (a,) = _cleared([point.y])
@@ -505,7 +587,7 @@ def wilson_embed(point):
     for i, qi in enumerate(q):
         for j, qj in enumerate(q):
             square[i + j] += qi * qj
-    columns, dens = [], []
+    columns = []
     for a_i, alpha_i in zip(a, point.alpha):
         r_i = _divide_by_root(_divide_by_root(square, a_i), a_i)
         big_a, big_b = _scaled_value_and_derivative(r_i, a_i, 1)  # A is nonzero
@@ -513,17 +595,10 @@ def wilson_embed(point):
         slope = alpha_i.numerator * big_a + big_b * dt
         constant = big_a * dt + slope * a_i  # h = R_i(w) (constant - slope w)
         h = [constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)]
-        column = [h_k * d_k for h_k, d_k in zip(h, d_powers)]
-        den_i = big_a * big_a * dt
-        g = gcd(den_i, *column)
-        columns.append(tuple(v // g for v in column))
-        dens.append(den_i // g)
-    den = lcm(*dens)
-    subspace = RationalMatrix._from_ints(
-        den, zip(*([v * (den // den_i) for v in column] for column, den_i in zip(columns, dens)))
-    )
+        columns.append((big_a * big_a * dt, [h_k * d_k for h_k, d_k in zip(h, d_powers)]))
     ideal = tuple(Fraction(q_k, d_powers[n - k]) for k, q_k in enumerate(q))
-    return EmbeddedPoint(ideal, subspace, tuple(columns))
+    ideal_ints = [q_k * d_k for q_k, d_k in zip(q, d_powers)]
+    return EmbeddedPoint._from_columns(ideal, ideal_ints, columns)
 
 
 def component_line(point, y_i):
@@ -534,12 +609,11 @@ def component_line(point, y_i):
     integer Horner pass over each of the point's column-cleared integer
     columns gives b^m (p(a/b), p'(a/b)); the column's common denominator and
     b^m cancel in the normalized line.  The root test runs the same pass on
-    the integer-cleared ideal.
+    integers the point holds for its ideal.
     """
     y_i = _frac(y_i)
     a, b = y_i.numerator, y_i.denominator
-    _, (ideal,) = _cleared([point.ideal])
-    if _scaled_value_and_derivative(ideal, a, b)[0]:
+    if _scaled_value_and_derivative(point._ideal_ints, a, b)[0]:
         raise ValueError(f"{y_i} is not a root of the ideal")
     images = []
     for coeffs in point._columns:
@@ -578,6 +652,11 @@ def schubert_profile(subspace):
             f"need an n-dimensional subspace of a 2n-dimensional space, got {subspace.rows}x{subspace.cols}"
         )
     n = subspace.cols
+    # The top n x n block (the coefficients of 1, ..., z^(n-1)) is nonsingular
+    # exactly when W misses F_n, the big cell; nonsingular modulo the prime
+    # certifies it over the rationals.
+    if len(_independent_rows_mod_p(subspace._ints[:n], n)) == n:
+        return Partition((n,) * n)
     # dim(W meet F_j) counts the Bareiss pivots p >= 2n - j, so step j is a jump
     # exactly when 2n - j is a pivot column of the transposed basis.
     pivots = subspace.transpose()._pivot_columns()

@@ -159,6 +159,9 @@ class GammaPartition:
         return ";".join(str(c) for c in self.components)
 
     def with_component(self, index, part):
+        """The label with component slot index, 0 <= index < N, replaced by part."""
+        if not 0 <= index < self.N:
+            raise ValueError(f"slot {index} is outside the {self.N} component slots")
         return GammaPartition(self.components[:index] + (part,) + self.components[index + 1:])
 
     def permuted(self, perm):

@@ -228,6 +228,56 @@ def test_tangent_weights_strictly_negative():
             assert all(w < 0 for w in tangent_weights(lam))
 
 
+# -- the character by localization at the C*-fixed points, from contents alone
+
+
+def _contents(lam):
+    return [col - row for row, col in lam.cells()]
+
+
+def _fixed_point_tangent(contents):
+    """T = (t + 1/t - 2) V V* + V + V*, V = sum of t^content over the cells: the
+    tangent character at a fixed point of CM_n, ker d(mu) minus gl_n."""
+    v = LaurentPoly(Counter(contents))
+    v_star = substitute_inverse(v)
+    return LaurentPoly({1: 1, 0: -2, -1: 1}) * v * v_star + v + v_star
+
+
+def _localized_character(tangent, n):
+    """prod_{i<=n} (1 - q^i)(1 - q^-i) / prod_{w in T} (1 - q^w) by exact division,
+    or None when T is not a multiset of nonzero weights."""
+    if any(m < 0 for m in tangent.coeffs.values()) or 0 in tangent.coeffs:
+        return None
+    weights = LaurentPoly.one()
+    for w, m in tangent.coeffs.items():
+        weights = weights * LaurentPoly({0: 1, w: -1}) ** m
+    numerator = qfactorial_product(n) * substitute_inverse(qfactorial_product(n))
+    return exact_divide(numerator, weights)
+
+
+def test_character_by_localization_from_contents():
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            tangent = _fixed_point_tangent(_contents(lam))
+            hooks = hook_lengths(lam)
+            assert tangent == LaurentPoly(Counter([h for h in hooks] + [-h for h in hooks]))
+            assert _localized_character(tangent, n) == character(lam).character
+            negative = tuple(sorted(w for w, m in tangent.coeffs.items() if w < 0 for _ in range(m)))
+            assert negative == tangent_weights(lam)
+
+
+def test_character_by_localization_breaks_under_a_shifted_content():
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            contents = _contents(lam)
+            for i in range(n):
+                for shift in (1, -1):
+                    shifted = contents[:i] + [contents[i] + shift] + contents[i + 1:]
+                    tangent = _fixed_point_tangent(shifted)
+                    assert tangent != _fixed_point_tangent(contents)
+                    assert _localized_character(tangent, n) != character(lam).character
+
+
 def test_kostka_value_at_one_counts_tableaux():
     for n in range(9):
         for lam in enumerate_partitions(n):

@@ -192,6 +192,98 @@ def test_integer_form_is_canonical_across_routes():
     assert half != RationalMatrix([[1, -3]]) and half != half.entries
 
 
+_NONZERO = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=7)
+)
+
+
+@st.composite
+def sparse_grids(draw, rows, cols):
+    """Fraction grids of one shape: dense (no zeros), diagonal (zero off i == j),
+    mixed (zeros at random positions) or zero."""
+    kind = draw(st.sampled_from(("dense", "diagonal", "mixed", "zero")))
+    grid = draw(st.lists(st.lists(_NONZERO, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if kind == "diagonal":
+        grid = [[x if i == j else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+    elif kind == "mixed":
+        keep = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        grid = [[x if keep[i * cols + j] else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(grid)]
+    elif kind == "zero":
+        grid = [[Fraction(0)] * cols for _ in range(rows)]
+    return grid
+
+
+@st.composite
+def product_operands(draw):
+    """Grids a (r x k) and b (k x r), so that both a b and b a are defined."""
+    r, k = draw(st.integers(min_value=1, max_value=6)), draw(st.integers(min_value=1, max_value=6))
+    return draw(sparse_grids(r, k)), draw(sparse_grids(k, r))
+
+
+def _schoolbook(a_grid, b_grid):
+    """The Fraction product of two grids, one dot product per entry."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b_grid)] for row in a_grid]
+
+
+def _schoolbook_commutator(x_grid, y_grid):
+    """YX - XY + Id on Fraction grids."""
+    yx, xy = _schoolbook(y_grid, x_grid), _schoolbook(x_grid, y_grid)
+    return [[u - v + (i == j) for j, (u, v) in enumerate(zip(r, s))] for i, (r, s) in enumerate(zip(yx, xy))]
+
+
+@settings(deadline=None, max_examples=100)
+@given(product_operands())
+def test_products_match_fraction_schoolbook(operands):
+    a_grid, b_grid = operands
+    a, b = RationalMatrix(a_grid), RationalMatrix(b_grid)
+    _same_matrix(a @ b, _schoolbook(a_grid, b_grid))
+    _same_matrix(b @ a, _schoolbook(b_grid, a_grid))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(sparse_grids(n, n), sparse_grids(n, n))))
+def test_commutators_match_fraction_schoolbook(grids):
+    x_grid, y_grid = grids
+    x, y = RationalMatrix(x_grid), RationalMatrix(y_grid)
+    _same_matrix(commutator_plus_identity(x, y), _schoolbook_commutator(x_grid, y_grid))
+    _same_matrix(commutator_plus_identity(y, x), _schoolbook_commutator(y_grid, x_grid))
+    swapped_x, swapped_y = involution(x, y)
+    _same_matrix(
+        commutator_plus_identity(swapped_x, swapped_y),
+        _schoolbook_commutator(list(zip(*y_grid)), list(zip(*x_grid))),
+    )
+
+
+def test_products_skip_the_zeros_of_a_sparse_factor(monkeypatch):
+    calls = []
+    combine = cm._row_combinations
+
+    def spy(a, b):
+        calls.append((tuple(map(tuple, a)), tuple(map(tuple, b))))
+        return combine(a, b)
+
+    monkeypatch.setattr(cm, "_row_combinations", spy)
+    rng = random.Random(2018)
+    dense = RationalMatrix([[rng.randint(1, 9) for _ in range(5)] for _ in range(5)])
+    diagonal = RationalMatrix.diagonal([2, -1, 3, 5, 7])
+    assert (dense @ dense).entries == tuple(map(tuple, _schoolbook(dense.entries, dense.entries)))
+    assert calls == []
+    for left, right in ((diagonal, dense), (dense, diagonal)):
+        assert (left @ right).entries == tuple(map(tuple, _schoolbook(left.entries, right.entries)))
+    # the diagonal left factor directly, the diagonal right factor through the transposes
+    assert calls == [(diagonal._ints, dense._ints), (diagonal._ints, tuple(zip(*dense._ints)))]
+    calls.clear()
+    x, y = wilson_representative(_seeded_point(rng, 6))
+    commutator_plus_identity(x, y)
+    commutator_plus_identity(*involution(x, y))
+    assert len(calls) == 4 and all(a == y._ints for a, _ in calls)
+    # an outer product scales the rows of its right factor
+    calls.clear()
+    column, row = RationalMatrix([[1, -2, 3]]).transpose(), RationalMatrix([[4, 5, Fraction(1, 6)]])
+    assert (column @ row).entries == tuple(map(tuple, _schoolbook(column.entries, row.entries)))
+    assert calls == [(column._ints, row._ints)]
+
+
 def test_rank_golden():
     assert RationalMatrix.identity(5).rank() == 5
     assert RationalMatrix([[0]]).rank() == 0
@@ -499,6 +591,18 @@ def test_embed_block_factorization():
             assert component_line(joint, y_i) == component_line(small, y_i)
 
 
+def test_public_constructor_holds_the_embedding_form():
+    rng = random.Random(2020)
+    for n in (1, 3, 8):
+        point = _seeded_point(rng, n)
+        embedded = wilson_embed(point)
+        rebuilt = EmbeddedPoint(embedded.ideal, embedded.subspace)
+        assert (rebuilt._columns, rebuilt._dens) == (embedded._columns, embedded._dens)
+        assert rebuilt.subspace is embedded.subspace and rebuilt.ideal == embedded.ideal
+        for y_i, alpha_i in zip(point.y, point.alpha):
+            assert component_line(rebuilt, y_i) == component_line(embedded, y_i) == (1, -alpha_i)
+
+
 def test_embedded_point_validation():
     with pytest.raises(ValueError):
         EmbeddedPoint((0, 2), RationalMatrix([[1], [0]]))
@@ -510,7 +614,7 @@ def test_embedded_point_validation():
 
 def test_embedded_point_is_immutable():
     point = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(-2, 3)]))
-    for name in ("ideal", "subspace", "_columns"):
+    for name in ("ideal", "subspace", "_columns", "_dens", "_ideal_ints", "_subspace"):
         with pytest.raises(AttributeError):
             setattr(point, name, ())
     with pytest.raises(AttributeError):
@@ -660,12 +764,23 @@ def _per_column_embed(point):
 
 
 def _fraction_cleared_columns(matrix):
-    """Each Fraction column times the least common multiple of its denominators."""
-    columns = []
+    """Each Fraction column times the least common multiple of its denominators,
+    and those multiples."""
+    columns, dens = [], []
     for column in zip(*matrix.entries):
         d = math.lcm(*(x.denominator for x in column))
         columns.append(tuple(int(x * d) for x in column))
-    return tuple(columns)
+        dens.append(d)
+    return tuple(columns), tuple(dens)
+
+
+def _holds_one_form(embedded, subspace_entries):
+    """The point's integer columns over their denominators are the Fraction
+    columns of subspace_entries cleared one by one, and its ideal integers are
+    proportional to the ideal."""
+    assert (embedded._columns, embedded._dens) == _fraction_cleared_columns(RationalMatrix(subspace_entries))
+    top = embedded._ideal_ints[-1]
+    assert tuple(Fraction(v, top) for v in embedded._ideal_ints) == embedded.ideal
 
 
 def _fraction_commutator(x, y):
@@ -768,8 +883,9 @@ def test_charpoly_matches_sympy():
 @given(regular_points(max_n=8))
 def test_embedding_matches_per_column_oracle(point):
     embedded = wilson_embed(point)
-    assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
-    assert embedded._columns == _fraction_cleared_columns(embedded.subspace)
+    ideal, entries = _per_column_embed(point)
+    _holds_one_form(embedded, entries)
+    assert (embedded.ideal, embedded.subspace.entries) == (ideal, entries)
     for y_i in point.y:
         assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
@@ -779,8 +895,9 @@ def test_embedding_matches_per_column_oracle_at_large_sizes():
     for n in (12, 16, 20):
         point = _seeded_point(rng, n)
         embedded = wilson_embed(point)
-        assert (embedded.ideal, embedded.subspace.entries) == _per_column_embed(point)
-        assert embedded._columns == _fraction_cleared_columns(embedded.subspace)
+        ideal, entries = _per_column_embed(point)
+        _holds_one_form(embedded, entries)
+        assert (embedded.ideal, embedded.subspace.entries) == (ideal, entries)
         for y_i in point.y:
             assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
@@ -830,7 +947,8 @@ def test_component_line_matches_fraction_horner(a, root, line):
     subspace = RationalMatrix([[col[r] for col in columns] for r in range(2 * n)])
     assume(subspace.rank() == n)
     embedded = EmbeddedPoint(poly_from_roots([root + k for k in range(n)]), subspace)
-    assert embedded._columns == _fraction_cleared_columns(subspace)
+    _holds_one_form(embedded, subspace.entries)
+    assert embedded.subspace is subspace
     assert component_line(embedded, root) == _fraction_horner_line(embedded, root)
 
 
@@ -889,7 +1007,110 @@ def test_full_rank_verdict_matches_exact_rank(a):
     # a square matrix over a zero block is a 2n x n subspace of the same rank
     n = a.rows
     subspace = RationalMatrix([list(row) for row in a.entries] + [[0] * n for _ in range(n)])
-    assert cm._full_column_rank(subspace, cm._cleared_columns(subspace)) == (a.rank() == n)
+    columns, _ = _fraction_cleared_columns(subspace)
+    assert cm._full_column_rank(columns) == (a.rank() == n)
+
+
+# -- the big-cell certificate for Schubert profiles and its exact fallback
+
+
+def _pivot_calls(monkeypatch):
+    calls = []
+    exact = RationalMatrix._pivot_columns
+
+    def spy(self):
+        calls.append((self.rows, self.cols))
+        return exact(self)
+
+    monkeypatch.setattr(RationalMatrix, "_pivot_columns", spy)
+    return calls
+
+
+def _exact_profile(subspace):
+    """The profile read off the exact pivot columns of the transposed basis by the
+    flag jump rule, or None when the basis columns are dependent."""
+    n = subspace.cols
+    pivots = subspace.transpose()._pivot_columns()
+    if len(pivots) != n:
+        return None
+    jumps = sorted(2 * n - p for p in pivots)
+    return Partition(tuple(p for p in reversed([jumps[i] - (i + 1) for i in range(n)]) if p > 0))
+
+
+def _point_with_zero_eigenvalue(rng, n):
+    """A regular point with 0 among its eigenvalues and -1 not among them."""
+    pool = [Fraction(v, d) for v in range(-40, 41) for d in (1, 2, 3) if Fraction(v, d) not in (0, -1)]
+    y = [Fraction(0)] + rng.sample(sorted(set(pool)), n - 1)
+    rng.shuffle(y)
+    return CMPointRegular(y, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)])
+
+
+def test_zero_eigenvalue_takes_the_exact_path_and_shifting_restores_the_big_cell(monkeypatch):
+    rng = random.Random(2019)
+    for n in range(2, 11):
+        point = _point_with_zero_eigenvalue(rng, n)
+        shifted = CMPointRegular([v + 1 for v in point.y], point.alpha)
+        with_zero, without_zero = wilson_embed(point).subspace, wilson_embed(shifted).subspace
+        expected_zero, expected_big = _exact_profile(with_zero), _exact_profile(without_zero)
+        if n <= 4:
+            assert (expected_zero, expected_big) == tuple(map(_stacked_rank_profile, (with_zero, without_zero)))
+        calls = _pivot_calls(monkeypatch)
+        assert schubert_profile(with_zero) == expected_zero == Partition((n,) + (n - 1,) * (n - 1))
+        assert calls == [(n, 2 * n)]
+        calls.clear()
+        assert schubert_profile(without_zero) == expected_big == Partition((n,) * n)
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_big_cell_singular_mod_p_falls_back_to_exact_elimination(monkeypatch):
+    p = cm._PRIME
+    calls = _pivot_calls(monkeypatch)
+    # top blocks diag(p, 1) and [[1, 1], [1, 1 + p]] vanish modulo p, not over the rationals
+    for subspace in (
+        RationalMatrix([[p, 0], [0, 1], [1, 0], [0, 1]]),
+        RationalMatrix([[1, 1], [1, 1 + p], [0, 0], [5, 0]]),
+        RationalMatrix([[Fraction(p, 7)], [1]]),
+    ):
+        calls.clear()
+        n = subspace.cols
+        assert schubert_profile(subspace) == Partition((n,) * n)
+        assert calls == [(n, 2 * n)]
+    # singular over the rationals too: the exact path finds the smaller cell
+    calls.clear()
+    assert schubert_profile(RationalMatrix([[1, 2], [2, 4], [0, 1], [0, 0]])) == Partition((2, 1))
+    assert calls == [(2, 4)]
+
+
+@st.composite
+def half_dimensional_bases(draw, max_n=6):
+    """2n x n bases: general, columns starting at random exponents, with a dependent
+    column, or with the top block scaled by the prime (singular modulo it)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(("general", "staggered", "dependent", "scaled")))
+    entry = st.one_of(st.just(Fraction(0)), _NONZERO)
+    columns = draw(st.lists(st.lists(entry, min_size=2 * n, max_size=2 * n), min_size=n, max_size=n))
+    if kind == "staggered":
+        lows = draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1), min_size=n, max_size=n))
+        columns = [[x if r >= low else Fraction(0) for r, x in enumerate(col)] for col, low in zip(columns, lows)]
+    elif kind == "dependent":
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        columns[-1] = [c * x for x in columns[0]]
+    rows = [[col[r] for col in columns] for r in range(2 * n)]
+    if kind == "scaled":
+        rows[:n] = [[cm._PRIME * x for x in row] for row in rows[:n]]
+    return RationalMatrix(rows)
+
+
+@settings(deadline=None, max_examples=120)
+@given(half_dimensional_bases())
+def test_certified_profile_matches_exact_profile(subspace):
+    expected = _exact_profile(subspace)
+    if expected is None:
+        with pytest.raises(NotInAnyCell):
+            schubert_profile(subspace)
+    else:
+        assert schubert_profile(subspace) == expected
 
 
 # -- randomized properties

@@ -183,6 +183,16 @@ def test_gamma_partition_basics():
             three.permuted(perm)
 
 
+def test_with_component_replaces_one_valid_slot():
+    three = GammaPartition((Partition((1,)), Partition((2,)), Partition(())))
+    replaced = three.with_component(2, Partition((3,)))
+    assert str(replaced) == "1;2;3" and replaced.N == 3
+    assert str(three.with_component(0, Partition(()))) == "-;2;-"
+    for index in (-1, 3, 5, -4):
+        with pytest.raises(ValueError, match="outside the 3 component slots"):
+            three.with_component(index, Partition((3,)))
+
+
 def test_gamma_enumeration_count_via_convolution():
     # The number of N-tuples with total size n is the N-fold convolution
     # of the partition counts, computed here from scratch.
