@@ -8,7 +8,9 @@ through one integer product that skips the zeros of a sparse factor, so a
 diagonal factor costs O(n^2); one fraction-free (Bareiss) elimination on the
 content-reduced integer rows, whose pivot columns both matrix rank and the
 Schubert profile read; characteristic polynomials by division-free Berkowitz
-on the integer matrix; the normal form; and the Grassmannian embedding by
+on the integer matrix, whose step at a vanishing border row or column is one
+multiplication by a linear factor, so a triangular or diagonal matrix costs
+O(n^2); the normal form; and the Grassmannian embedding by
 explicit congruence solving at each eigenvalue, over the common denominator
 of the eigenvalues.  Fraction entries are built only when a caller reads
 them.  An embedded point holds one form, its ideal and its basis columns
@@ -221,6 +223,9 @@ class RationalMatrix:
         det(zI - B_{k+1}) is the lower-triangular Toeplitz matrix with first
         column (1, -b, -r c, -r B_k c, ..., -r B_k^(k-1) c) times
         det(zI - B_k), so step k costs k - 1 integer matrix-vector products.
+        When c or r is zero, every r B_k^j c vanishes and step k is the O(k)
+        product with z - b; triangular and block-triangular matrices take
+        that step at every border they zero.
         Since det(zI - A) = d^-n det(dz I - B), coefficient j is c_j / d^(n-j).
         """
         if self.rows != self.cols:
@@ -231,7 +236,11 @@ class RationalMatrix:
             # v has k entries, so map(mul, ..., v) reads only the first k of a row
             leading = b[:k]
             v = [b_i[k] for b_i in leading]
-            toeplitz = [1, -row[k]]
+            corner = row[k]
+            if not any(v) or not any(row[:k]):
+                poly = [hi - corner * lo for hi, lo in zip(poly + [0], [0] + poly)]
+                continue
+            toeplitz = [1, -corner]
             for j in range(k):
                 if j:
                     v = [sum(map(mul, b_i, v)) for b_i in leading]

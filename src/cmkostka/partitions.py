@@ -214,7 +214,10 @@ def hook_lengths(lam):
 
 @lru_cache(maxsize=4096)
 def _hook_lengths(lam):
-    return tuple(sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True))
+    # one pass from the conjugate: h(r, c) = lam_r - c + lam'_c - r - 1
+    columns = lam.conjugate().parts
+    return tuple(sorted((p - c + columns[c] - r - 1 for r, p in enumerate(lam.parts) for c in range(p)),
+                        reverse=True))
 
 
 def syt_count(lam):

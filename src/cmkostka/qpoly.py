@@ -6,11 +6,14 @@ every operation; a product picks its path from its factors: a schoolbook
 double loop over the terms when a factor has few terms or the factors are
 sparse over their exponent span, and otherwise Kronecker substitution, one
 big-integer product of the factors evaluated at a power of two.  Division is
-exact or it raises; there is no floating point anywhere.
+exact or it raises; there is no floating point anywhere.  The factors
+1 - q^k, the q-factorials and the q-multinomials are each built once, in
+bounded caches read only after operator.index has validated the arguments.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
 
@@ -224,23 +227,35 @@ def _evaluate_at_power_of_two(coeffs, low, bits):
     return value
 
 
-ONE_MINUS = {}  # small cache of 1 - q^k factors
+# The factor, q-factorial and q-multinomial caches below are bounded, and
+# each public function validates its arguments with operator.index before
+# the lookup, so 2.0 or Fraction(2) raises TypeError on a warm cache as on a
+# cold one rather than hitting the entry for 2.
 
 
 def one_minus_q(k):
-    poly = ONE_MINUS.get(k)
-    if poly is None:
-        poly = ONE_MINUS[k] = LaurentPoly({0: 1, k: -1})
-    return poly
+    """1 - q^k; the zero polynomial for k = 0."""
+    return _one_minus_q(index(k))
+
+
+@lru_cache(maxsize=256)
+def _one_minus_q(k):
+    return LaurentPoly._from_ints({0: 1, k: -1} if k else {})
 
 
 def qfactorial_product(n):
     """(1-q)(1-q^2)...(1-q^n); the empty product for n = 0."""
+    n = index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _qfactorial_product(n)
+
+
+@lru_cache(maxsize=64)
+def _qfactorial_product(n):
     result = LaurentPoly.one()
     for i in range(1, n + 1):
-        result = result * one_minus_q(i)
+        result = result * _one_minus_q(i)
     return result
 
 
@@ -331,14 +346,24 @@ def qmultinomial(n, sizes):
     """Gaussian multinomial coefficient as a genuine polynomial.
 
     Equals qfactorial_product(n) divided by the product of component
-    qfactorial_products; sizes must sum to n.
+    qfactorial_products; the sizes must be nonnegative and sum to n.  The
+    result depends only on n and the multiset of sizes, and is cached on them.
     """
-    if sum(sizes) != n:
+    n = index(n)
+    key = tuple(sorted(map(index, sizes)))
+    if key and key[0] < 0:
+        raise ValueError(f"sizes {sizes} must be nonnegative")
+    if sum(key) != n:
         raise ValueError(f"sizes {sizes} do not sum to {n}")
+    return _qmultinomial(n, key)
+
+
+@lru_cache(maxsize=1024)
+def _qmultinomial(n, sizes):
     den = LaurentPoly.one()
     for s in sizes:
-        den = den * qfactorial_product(s)
-    return exact_divide(qfactorial_product(n), den)
+        den = den * _qfactorial_product(s)
+    return exact_divide(_qfactorial_product(n), den)
 
 
 def geometric_product_series(exponents, order):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmkostka import characters
+from cmkostka import characters, qpoly
 from cmkostka.characters import (
     character,
     completion_character_check,
@@ -152,25 +152,30 @@ def test_memoised_kostka_matches_fresh_quotient(cache):
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, _hook_lengths):
+    for cached in (characters._hook_quotient, _hook_lengths,
+                   qpoly._one_minus_q, qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
 
 
-def _summed_character_sides(n):
-    """Both sides of sum_lam K_lam(q) K_lam(1/q) = sum_mu z_mu^-1 chi_mu(q) chi_mu(1/q),
+def _summed_character_sides(n, N=None):
+    """Both sides of sum_Lam K_Lam(q) K_Lam(1/q) = sum_mu N^l(mu) z_mu^-1 chi_mu(q) chi_mu(1/q),
     multiplied by n! so that the class sizes n!/z_mu are integers.
 
-    The left side goes through character(); the right side uses only cycle
-    types, with chi_mu = (1-q)...(1-q^n) / prod over parts m of (1 - q^m)
-    by long division.
+    The labels Lam are the partitions of n, or with N the N-component wreath
+    labels of total size n, whose identity is Molien's average over
+    G(N,1,n).  The left side goes through character(); the right side uses
+    only cycle types, with chi_mu = (1-q)...(1-q^n) / prod over parts m of
+    (1 - q^m) by long division, and no hooks.
     """
+    labels = enumerate_partitions(n) if N is None else enumerate_gamma_partitions(N, n)
     scale = LaurentPoly({0: factorial(n)})
-    left = scale * sum((character(lam).character for lam in enumerate_partitions(n)), LaurentPoly.zero())
+    left = scale * sum((character(label).character for label in labels), LaurentPoly.zero())
     right = LaurentPoly.zero()
     for mu in enumerate_partitions(n):
         chi = exact_divide(qfactorial_product(n), prod(map(one_minus_q, mu.parts), start=LaurentPoly.one()))
         z = prod(m**a * factorial(a) for m, a in Counter(mu.parts).items())
-        right = right + LaurentPoly({0: factorial(n) // z}) * chi * substitute_inverse(chi)
+        weight = (N or 1) ** len(mu) * (factorial(n) // z)
+        right = right + LaurentPoly({0: weight}) * chi * substitute_inverse(chi)
     return left, right
 
 
@@ -191,6 +196,28 @@ def test_summed_character_detects_one_corrupted_hook(monkeypatch):
 
     monkeypatch.setattr(characters, "hook_lengths", corrupted)
     left, right = _summed_character_sides(3)
+    assert left != right
+
+
+def test_summed_wreath_character_matches_molien_average():
+    for N in range(1, 5):
+        for n in range(7):
+            left, right = _summed_character_sides(n, N)
+            assert left == right
+            assert evaluate_at_one(left) == factorial(n) * N**n * factorial(n)
+
+
+def test_summed_wreath_character_detects_one_corrupted_component_hook(monkeypatch):
+    # the same corruption as above, reached only through a component of a
+    # wreath label: (2,1) in slot 1 of a two-slot label of size 4
+    genuine = characters.hook_lengths
+
+    def corrupted(lam):
+        return (3, 2, 1) if lam == Partition((2, 1)) else genuine(lam)
+
+    monkeypatch.setattr(characters, "hook_lengths", corrupted)
+    assert any(gp.components[1] == Partition((2, 1)) for gp in enumerate_gamma_partitions(2, 4))
+    left, right = _summed_character_sides(4, 2)
     assert left != right
 
 

@@ -853,6 +853,72 @@ def test_charpoly_matches_oracle_on_fixed_shapes():
         assert a.charpoly() == poly_from_roots([a.entries[i][i] for i in range(6)])
 
 
+def _one_sided_border_zeros(rng, n, steps, side):
+    """A matrix whose Berkowitz border row (side "row") or border column
+    (side "column") vanishes at each of the given steps while the other
+    border stays nonzero there."""
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+    grid = [[entry() for _ in range(n)] for _ in range(n)]
+    for k in steps:
+        for j in range(k):
+            if side == "row":
+                grid[k][j] = 0
+            else:
+                grid[j][k] = 0
+    for k in steps:
+        # keep the other border at step k nonzero, whatever later steps zeroed
+        if k and side == "row":
+            grid[0][k] = entry()
+        elif k:
+            grid[k][0] = entry()
+    return RationalMatrix(grid)
+
+
+def test_charpoly_with_one_border_zero_matches_trace_recurrence():
+    rng = random.Random(2031)
+    for n in (2, 5, 9, 14, 20):
+        steps = sorted(rng.sample(range(1, n), min(n - 1, 4)))
+        for side in ("row", "column"):
+            a = _one_sided_border_zeros(rng, n, steps, side)
+            b = a._ints
+            for k in steps:
+                row_zero = not any(b[k][:k])
+                column_zero = not any(b_i[k] for b_i in b[:k])
+                assert (row_zero, column_zero) == (side == "row", side == "column")
+            assert a.charpoly() == _trace_recurrence_charpoly(a)
+
+
+def test_triangular_charpoly_at_size_30_is_the_diagonal_product():
+    rng = random.Random(2032)
+    n = 30
+    diagonal = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+    upper = [[diagonal[i] if i == j else Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    for a in (RationalMatrix.diagonal(diagonal), RationalMatrix(upper), RationalMatrix(upper).transpose()):
+        assert a.charpoly() == _fraction_root_product(diagonal)
+
+
+def test_eigenvalue_check_compares_two_independent_computations(monkeypatch, capsys):
+    """A wrong root product must fail eigenvalue-polynomial-match: charpoly
+    does not read _root_product, so the check's two sides part ways."""
+    from cmkostka.cli import main
+
+    genuine = cm._root_product
+
+    def wrong(a):
+        q = genuine(a)
+        return [q[0] + 1] + q[1:]
+
+    monkeypatch.setattr(cm, "_root_product", wrong)
+    code = main(["verify-all", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL eigenvalue-polynomial-match" in out
+    assert RationalMatrix.diagonal([1, 2, 3]).charpoly() == (-6, 11, -6, 1)
+
+
 def test_charpoly_matches_oracles_on_large_normal_forms():
     """The cm-pairs sizes, where the integer entries grow largest."""
     rng = random.Random(2016)

@@ -256,6 +256,15 @@ def test_conjugate_is_an_involution(lam):
     assert lam.conjugate().conjugate() == lam
 
 
+def test_hook_lengths_match_per_cell_hooks():
+    # hook_lengths reads every hook off the conjugate in one pass;
+    # Partition.hook counts each arm and leg on its own
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            per_cell = sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True)
+            assert hook_lengths(lam) == tuple(per_cell)
+
+
 @given(partitions())
 def test_hook_multiset_size_and_sum(lam):
     hooks = hook_lengths(lam)

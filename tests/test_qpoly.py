@@ -198,6 +198,59 @@ def test_qfactorial_product_golden():
         qfactorial_product(-1)
 
 
+def test_one_minus_q_edge_cases():
+    assert one_minus_q(0).is_zero()
+    assert one_minus_q(-2) == LaurentPoly({0: 1, -2: -1})
+    assert one_minus_q(2) == LaurentPoly({0: 1, 2: -1})
+    # warm cache: an inexact argument equal to a cached key is still refused
+    for k in (2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            one_minus_q(k)
+
+
+def test_qfactorial_and_qmultinomial_validate_on_a_warm_cache():
+    qfactorial_product(3)
+    qmultinomial(3, [1, 2])
+    for call in (lambda: qfactorial_product(3.0), lambda: qfactorial_product(Fraction(3)),
+                 lambda: qmultinomial(3, [1.0, 2]), lambda: qmultinomial(Fraction(3), [1, 2])):
+        with pytest.raises(TypeError):
+            call()
+    for call in (lambda: qfactorial_product(-1), lambda: qmultinomial(-1, [-1]),
+                 lambda: qmultinomial(3, [4, -1]), lambda: qmultinomial(3, [1, 1]),
+                 lambda: qmultinomial(3, [])):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _fresh_qfactorial(n):
+    """(1-q)...(1-q^n) built from new factors, bypassing every cache."""
+    return prod((LaurentPoly({0: 1, i: -1}) for i in range(1, n + 1)), start=LaurentPoly.one())
+
+
+def _weak_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_cached_q_factorials_and_multinomials_match_fresh_products(cache):
+    if cache == "cold":
+        for cached in (qpoly._one_minus_q, qpoly._qfactorial_product, qpoly._qmultinomial):
+            cached.cache_clear()
+    for n in range(11):
+        assert qfactorial_product(n) == _fresh_qfactorial(n)
+        for parts in (1, 2, 3):
+            for sizes in _weak_compositions(n, parts):
+                den = prod(map(_fresh_qfactorial, sizes), start=LaurentPoly.one())
+                assert qmultinomial(n, sizes) == exact_divide(_fresh_qfactorial(n), den)
+                assert qmultinomial(n, list(sizes)) == qmultinomial(n, sizes[::-1])
+    assert qpoly._qmultinomial.cache_info().hits > 0
+
+
 def test_rendering_golden():
     assert str(LaurentPoly({-1: 1, 0: 2, 1: 1})) == "q^-1 + 2 + q"
     assert str(LaurentPoly.zero()) == "0"
