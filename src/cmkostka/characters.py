@@ -97,8 +97,7 @@ def tangent_weights(lam):
     of exactly n strictly negative integers.
     """
     n = lam.size
-    padded = lam.padded_increasing(n)
-    a = [2 * n - padded[i - 1] - i for i in range(1, n + 1)]
+    a = sorted(fixed_point_exponents(lam), reverse=True)
     weights = []
     for i in range(n):
         used = set(a[:i])

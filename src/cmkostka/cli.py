@@ -3,12 +3,19 @@
 Every command renders deterministically: identical arguments (and seed, where
 one applies) produce byte-identical output.  Exit status 0 means success or
 verified, 1 means some identity was falsified, 2 means a usage error.
+
+Each ``_cmd_*`` handler computes its result once and returns ``(payload, lines,
+code)``: a zero-argument callable building the JSON object, a lazy iterable of
+text lines, and the exit status.  The two forms may draw on one lazy result, so
+only one is consumed: ``main`` alone reads ``--json``, prints that form and
+returns the code; a ``ValueError`` becomes ``error: ...`` on stderr and exit 2.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .characters import character, kostka, kostka_wreath, tangent_weights
@@ -46,17 +53,13 @@ def _rational_list(text):
     return values
 
 
-def _emit(text):
-    sys.stdout.write(text + "\n")
+def _strs(values):
+    return [str(v) for v in values]
 
 
-def _emit_json(obj):
-    _emit(json.dumps(obj, indent=2))
-
-
-def _kostka_entry(label):
-    poly = kostka(label)
-    return {"lambda": str(label), "kostka": poly.to_json_dict()}, poly
+def _one_or_all(entries, single):
+    """A named label renders as one object, an --n batch as a list."""
+    return entries[0] if single else entries
 
 
 # Largest batches kostka, character, schur-p1n and wreath accept, from measured
@@ -104,56 +107,46 @@ def _labels_for(args, capped=False):
 
 def _cmd_kostka(args):
     labels, single = _labels_for(args, capped=True)
-    if args.json:
-        entries = [_kostka_entry(label)[0] for label in labels]
-        _emit_json(entries[0] if single else entries)
-        return 0
-    for label in labels:
-        _, poly = _kostka_entry(label)
-        _emit(f"{label}: {poly}")
-    return 0
+    rows = ((label, kostka(label)) for label in labels)
+    return (
+        lambda: _one_or_all([{"lambda": str(label), "kostka": k.to_json_dict()} for label, k in rows], single),
+        (f"{label}: {k}" for label, k in rows),
+        0,
+    )
+
+
+def _character_lines(reports, single):
+    for r in reports:
+        if single:
+            yield from (f"lambda: {r.label}", f"kostka: {r.kostka}", f"character: {r.character}")
+            yield f"dimension: {r.dimension}"
+        else:
+            yield f"{r.label}: {r.character} (dimension {r.dimension})"
 
 
 def _cmd_character(args):
     labels, single = _labels_for(args, capped=True)
-    reports = [character(label) for label in labels]
-    if args.json:
-        entries = [
-            {
-                "lambda": str(r.label),
-                "kostka": r.kostka.to_json_dict(),
-                "character": r.character.to_json_dict(),
-                "dimension": str(r.dimension),
-            }
-            for r in reports
-        ]
-        _emit_json(entries[0] if single else entries)
-        return 0
-    if single:
-        r = reports[0]
-        _emit(f"lambda: {r.label}")
-        _emit(f"kostka: {r.kostka}")
-        _emit(f"character: {r.character}")
-        _emit(f"dimension: {r.dimension}")
-    else:
-        for r in reports:
-            _emit(f"{r.label}: {r.character} (dimension {r.dimension})")
-    return 0
+    reports = map(character, labels)
+    entries = (
+        {
+            "lambda": str(r.label),
+            "kostka": r.kostka.to_json_dict(),
+            "character": r.character.to_json_dict(),
+            "dimension": str(r.dimension),
+        }
+        for r in reports
+    )
+    return lambda: _one_or_all(list(entries), single), _character_lines(reports, single), 0
 
 
 def _cmd_tangent(args):
     labels, single = _labels_for(args)
-    if args.json:
-        entries = [
-            {"lambda": str(label), "weights": [str(w) for w in tangent_weights(label)]}
-            for label in labels
-        ]
-        _emit_json(entries[0] if single else entries)
-        return 0
-    for label in labels:
-        weights = tangent_weights(label)
-        _emit(f"{label}: {','.join(str(w) for w in weights) if weights else '-'}")
-    return 0
+    rows = ((label, _strs(tangent_weights(label))) for label in labels)
+    return (
+        lambda: _one_or_all([{"lambda": str(label), "weights": weights} for label, weights in rows], single),
+        (f"{label}: {','.join(weights) or '-'}" for label, weights in rows),
+        0,
+    )
 
 
 def _cmd_schur_p1n(args):
@@ -165,146 +158,98 @@ def _cmd_schur_p1n(args):
         expansion = expand_p1n_wreath(args.N, args.n)
         order = enumerate_gamma_partitions(args.N, args.n)
     rows = [(label, expansion.coefficients.get(label, 0)) for label in order]
-    if args.json:
-        _emit_json([{"lambda": str(label), "m": str(m)} for label, m in rows])
-        return 0
-    for label, m in rows:
-        _emit(f"{label}: {m}")
-    return 0
+    return (
+        lambda: [{"lambda": str(label), "m": str(m)} for label, m in rows],
+        (f"{label}: {m}" for label, m in rows),
+        0,
+    )
 
 
 def _cmd_wreath(args):
     _check_batch(args.N, args.n)
     labels = enumerate_gamma_partitions(args.N, args.n)
-    entries = []
-    total = 0
-    for gp in labels:
-        k = kostka_wreath(gp)
-        dim = gamma_dimension(gp)
-        total += dim * dim
-        entries.append((gp, k, dim, evaluate_at_one(k)))
+    rows = [(gp, kostka_wreath(gp), gamma_dimension(gp)) for gp in labels]
+    total = sum(dim * dim for _, _, dim in rows)
     order = args.N**args.n * factorial(args.n)
-    kostka_agrees = all(dim == at_one for _, _, dim, at_one in entries)
-    verified = total == order and kostka_agrees
-    if args.json:
-        _emit_json(
-            {
-                "N": str(args.N),
-                "n": str(args.n),
-                "labels": [
-                    {"lambda": str(gp), "kostka": k.to_json_dict(), "dimension": str(dim)}
-                    for gp, k, dim, _ in entries
-                ],
-                "sum_of_squares": str(total),
-                "group_order": str(order),
-                "verified": verified,
-            }
-        )
-    else:
-        for gp, k, dim, _ in entries:
-            _emit(f"{gp}: dimension={dim} kostka={k}")
-        _emit(f"sum of squared dimensions: {total}")
-        _emit(f"wreath group order: {order}")
-        _emit(f"verified: {'true' if verified else 'false'}")
-        if not verified:
-            if not kostka_agrees:
-                bad = next(gp for gp, _, dim, at_one in entries if dim != at_one)
-                _emit(f"falsified: kostka value at 1 differs from dimension at {bad}")
-            else:
-                _emit(f"falsified: sum of squared dimensions {total} != group order {order}")
-    return 0 if verified else 1
+    bad = next((gp for gp, k, dim in rows if evaluate_at_one(k) != dim), None)
+    verified = total == order and bad is None
+
+    def payload():
+        return {
+            "N": str(args.N),
+            "n": str(args.n),
+            "labels": [
+                {"lambda": str(gp), "kostka": k.to_json_dict(), "dimension": str(dim)} for gp, k, dim in rows
+            ],
+            "sum_of_squares": str(total),
+            "group_order": str(order),
+            "verified": verified,
+        }
+
+    def lines():
+        for gp, k, dim in rows:
+            yield f"{gp}: dimension={dim} kostka={k}"
+        yield f"sum of squared dimensions: {total}"
+        yield f"wreath group order: {order}"
+        yield f"verified: {'true' if verified else 'false'}"
+        if bad is not None:
+            yield f"falsified: kostka value at 1 differs from dimension at {bad}"
+        elif not verified:
+            yield f"falsified: sum of squared dimensions {total} != group order {order}"
+
+    return payload, lines(), 0 if verified else 1
+
+
+def _point_json(point, **fields):
+    return {"y": _strs(point.y), "alpha": _strs(point.alpha), **fields}
 
 
 def _cmd_cm_verify(args):
     point = CMPointRegular(args.y, args.alpha)
-    x, y = wilson_representative(point)
-    ok, m, witness = verify_cm(x, y)
-    if args.json:
-        _emit_json(
-            {
-                "y": [str(v) for v in point.y],
-                "alpha": [str(v) for v in point.alpha],
-                "verified": ok,
-                "commutator_plus_identity": [[str(v) for v in row] for row in m.entries],
-                "witness": None
-                if witness is None
-                else {
-                    "column": [str(v) for v in witness[0]],
-                    "row": [str(v) for v in witness[1]],
-                },
-            }
-        )
-    else:
-        _emit(f"n: {point.n}")
-        _emit(f"verified: {'true' if ok else 'false'}")
-        _emit("commutator plus identity:")
-        for row in m.entries:
-            _emit("  " + " ".join(str(v) for v in row))
-        if witness is not None:
-            column, row = witness
-            _emit("witness column: " + " ".join(str(v) for v in column))
-            _emit("witness row: " + " ".join(str(v) for v in row))
-    return 0 if ok else 1
+    ok, m, pair = verify_cm(*wilson_representative(point))
+    rows = [_strs(row) for row in m.entries]
+    witness = None if pair is None else {"column": _strs(pair[0]), "row": _strs(pair[1])}
+    return (
+        lambda: _point_json(point, verified=ok, commutator_plus_identity=rows, witness=witness),
+        chain(
+            [f"n: {point.n}", f"verified: {'true' if ok else 'false'}", "commutator plus identity:"],
+            ("  " + " ".join(row) for row in rows),
+            (f"witness {side}: " + " ".join(values) for side, values in (witness or {}).items()),
+        ),
+        0 if ok else 1,
+    )
 
 
 def _cmd_cm_embed(args):
     point = CMPointRegular(args.y, args.alpha)
     embedded = wilson_embed(point)
-    if args.json:
-        _emit_json(
-            {
-                "y": [str(v) for v in point.y],
-                "alpha": [str(v) for v in point.alpha],
-                "ideal": [str(c) for c in embedded.ideal],
-                "subspace": [[str(v) for v in row] for row in embedded.subspace.entries],
-            }
-        )
-    else:
-        _emit(f"n: {point.n}")
-        _emit("ideal coefficients (low to high): " + " ".join(str(c) for c in embedded.ideal))
-        _emit("subspace basis (columns, coefficients low to high):")
-        for j in range(embedded.subspace.cols):
-            col = [embedded.subspace.entries[r][j] for r in range(embedded.subspace.rows)]
-            _emit("  " + " ".join(str(v) for v in col))
-    return 0
+    ideal, rows = _strs(embedded.ideal), [_strs(row) for row in embedded.subspace.entries]
+    return (
+        lambda: _point_json(point, ideal=ideal, subspace=rows),
+        chain(
+            [f"n: {point.n}", "ideal coefficients (low to high): " + " ".join(ideal)],
+            ["subspace basis (columns, coefficients low to high):"],
+            ("  " + " ".join(column) for column in zip(*rows)),
+        ),
+        0,
+    )
 
 
 def _cmd_verify_all(args):
     results = run_checks(
-        n=args.n,
-        N=args.N,
-        seed=args.seed,
-        corrupt_hooks=args.inject_hook_corruption,
-        max_size=args.max_size,
+        n=args.n, N=args.N, seed=args.seed, corrupt_hooks=args.inject_hook_corruption, max_size=args.max_size
     )
-    failed = [r for r in results if not r.passed]
-    if args.json:
-        _emit_json(
-            {
-                "seed": str(args.seed),
-                "checks": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "items": str(r.items),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                "passed": not failed,
-            }
-        )
-    else:
-        for r in results:
-            if r.passed:
-                _emit(f"PASS {r.name} ({r.items} items)")
-            else:
-                _emit(f"FAIL {r.name}: {r.detail}")
-        if failed:
-            _emit(f"{len(results)} checks, {len(failed)} failed: " + ", ".join(r.name for r in failed))
-        else:
-            _emit(f"{len(results)} checks, all passed")
-    return 0 if not failed else 1
+    failed = [r.name for r in results if not r.passed]
+    summary = f"{len(failed)} failed: " + ", ".join(failed) if failed else "all passed"
+
+    def payload():
+        checks = [
+            {"name": r.name, "passed": r.passed, "items": str(r.items), "detail": r.detail} for r in results
+        ]
+        return {"seed": str(args.seed), "checks": checks, "passed": not failed}
+
+    lines = (f"PASS {r.name} ({r.items} items)" if r.passed else f"FAIL {r.name}: {r.detail}" for r in results)
+    return payload, chain(lines, [f"{len(results)} checks, {summary}"]), 1 if failed else 0
 
 
 def _add_label_flags(parser, gamma=True):
@@ -322,81 +267,69 @@ def _add_cm_flags(parser):
     parser.add_argument("--alpha", type=_rational_list, required=True, help='parameters, e.g. "1/2,0,3"')
 
 
+def _command(sub, name, handler, help):
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+# (name, handler, help) of the matrix-pair commands, spelled both cm-<name> and cm <name>.
+_CM_COMMANDS = (
+    ("verify", _cmd_cm_verify, "rank-one check of the normal form built from y, alpha"),
+    ("embed", _cmd_cm_embed, "ideal and subspace basis of the embedded point"),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cmkostka",
         description="Exact Kostka polynomials, fiber characters, and rank-one matrix pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_label_flags(_command(sub, "kostka", _cmd_kostka, "Kostka polynomial of a label"))
+    _add_label_flags(_command(sub, "character", _cmd_character, "zero-fiber character report"))
+    _add_label_flags(_command(sub, "tangent", _cmd_tangent, "fixed-point tangent weights"), gamma=False)
 
-    p = sub.add_parser("kostka", help="Kostka polynomial of a label")
-    _add_label_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_kostka)
-
-    p = sub.add_parser("character", help="zero-fiber character report")
-    _add_label_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_character)
-
-    p = sub.add_parser("tangent", help="fixed-point tangent weights")
-    _add_label_flags(p, gamma=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_tangent)
-
-    p = sub.add_parser("schur-p1n", help="Schur expansion of the n-th power of p_1")
+    p = _command(sub, "schur-p1n", _cmd_schur_p1n, "Schur expansion of the n-th power of p_1")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--N", type=_positive, help="expand over N-component labels instead")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_schur_p1n)
 
-    p = sub.add_parser("wreath", help="wreath labels with dimensions and the order identity")
+    p = _command(sub, "wreath", _cmd_wreath, "wreath labels with dimensions and the order identity")
     p.add_argument("--N", type=_positive, required=True)
     p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_wreath)
 
-    def add_cm_verify(sp, name):
-        q = sp.add_parser(name, help="rank-one check of the normal form built from y, alpha")
-        _add_cm_flags(q)
-        q.add_argument("--json", action="store_true")
-        q.set_defaults(handler=_cmd_cm_verify)
+    for name, handler, help in _CM_COMMANDS:
+        _add_cm_flags(_command(sub, f"cm-{name}", handler, help))
+    cm = sub.add_parser("cm", help="matrix-pair commands (verify, embed)")
+    cm_sub = cm.add_subparsers(dest="cm_command", required=True)
+    for name, handler, help in _CM_COMMANDS:
+        _add_cm_flags(_command(cm_sub, name, handler, help))
 
-    def add_cm_embed(sp, name):
-        q = sp.add_parser(name, help="ideal and subspace basis of the embedded point")
-        _add_cm_flags(q)
-        q.add_argument("--json", action="store_true")
-        q.set_defaults(handler=_cmd_cm_embed)
-
-    add_cm_verify(sub, "cm-verify")
-    add_cm_embed(sub, "cm-embed")
-
-    p = sub.add_parser("cm", help="matrix-pair commands (verify, embed)")
-    cm_sub = p.add_subparsers(dest="cm_command", required=True)
-    add_cm_verify(cm_sub, "verify")
-    add_cm_embed(cm_sub, "embed")
-
-    p = sub.add_parser("verify-all", help="run every registered invariant check")
+    p = _command(sub, "verify-all", _cmd_verify_all, "run every registered invariant check")
     p.add_argument("--n", type=_positive, help="cap on partition sizes and matrix ranks")
     p.add_argument("--N", type=_positive, help="cap on component counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--max-size", dest="max_size", type=_positive, help="cap on tableau enumeration size"
-    )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--max-size", dest="max_size", type=_positive, help="cap on tableau enumeration size")
     p.add_argument("--inject-hook-corruption", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(handler=_cmd_verify_all)
 
+    for p in [*sub.choices.values(), *cm_sub.choices.values()]:
+        if p is not cm:
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, lines, code = args.handler(args)
+        if args.json:
+            sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
+        else:
+            sys.stdout.writelines(line + "\n" for line in lines)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -515,7 +515,8 @@ def projections(x, y):
 
 
 def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """The product; its coefficients are integers when both factors' are."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -592,10 +593,7 @@ def wilson_embed(point):
     d, (a,) = _cleared([point.y])
     d_powers = [d**k for k in range(2 * n)]
     q = _root_product(a)
-    square = [0] * (2 * n + 1)
-    for i, qi in enumerate(q):
-        for j, qj in enumerate(q):
-            square[i + j] += qi * qj
+    square = poly_mul(q, q)
     columns = []
     for a_i, alpha_i in zip(a, point.alpha):
         r_i = _divide_by_root(_divide_by_root(square, a_i), a_i)

@@ -30,18 +30,24 @@ class SchurExpansion:
         return sum(m * m for m in self.coefficients.values())
 
 
+def _pieri_expansion(start, successors, n):
+    """Apply n Pieri steps to the label start, adding up the coefficient of each successor."""
+    coeffs = {start: 1}
+    for _ in range(n):
+        nxt = {}
+        get = nxt.get
+        for label, m in coeffs.items():
+            for mu in successors(label):
+                nxt[mu] = get(mu, 0) + m
+        coeffs = nxt
+    return SchurExpansion(n, coeffs)
+
+
 def expand_p1n(n):
     """Expand the n-th power of p_1 over Schur functions by iterated Pieri steps."""
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = {Partition(()): 1}
-    for _ in range(n):
-        nxt = {}
-        for lam, m in coeffs.items():
-            for mu in lam.grow():
-                nxt[mu] = nxt.get(mu, 0) + m
-        coeffs = nxt
-    return SchurExpansion(n, coeffs)
+    return _pieri_expansion(Partition(()), Partition.grow, n)
 
 
 def expand_p1n_wreath(N, n):
@@ -53,17 +59,11 @@ def expand_p1n_wreath(N, n):
         raise ValueError("N must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-    empty = GammaPartition((Partition(()),) * N)
-    coeffs = {empty: 1}
-    for _ in range(n):
-        nxt = {}
-        for gp, m in coeffs.items():
-            for chi in range(N):
-                for mu in gp.components[chi].grow():
-                    key = gp.with_component(chi, mu)
-                    nxt[key] = nxt.get(key, 0) + m
-        coeffs = nxt
-    return SchurExpansion(n, coeffs)
+
+    def successors(gp):
+        return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
+
+    return _pieri_expansion(GammaPartition((Partition(()),) * N), successors, n)
 
 
 _MAX_N, _MAX_n = 4, 6  # largest N and n that multiplicity_identity_check accepts

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, renderings, determinism, JSON schemas."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -391,6 +393,170 @@ def test_large_product_batches_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of exit status, stdout and stderr for every command in text and
+# --json, single label and batch, both cm spellings, usage errors and cap
+# refusals: any change to any rendering shows here.
+CLI_DIGESTS = [
+    ("kostka --partition 3,1", "498f1b4590dda9921f4d20ae1a13194cbb113db4703f2371e3105b2e274b47e8"),
+    ("kostka --partition 3,1 --json", "42ec67a9ebc4bedbea29fccd5312edd46f67fbd04b2cf479f6cbb71da8fce40a"),
+    ("kostka --gamma-partition 2,1;-;1", "a5be9dba1028b3f76b963a4caa09f8a674c0abdbd87f02eff6cd3440038cb9aa"),
+    (
+        "kostka --gamma-partition 2,1;-;1 --json",
+        "2d5b4884f0710cf0faecd28767083917c2a2176ef63810f62b148c90b4f6d3bc",
+    ),
+    ("kostka --n 5", "c85190abb433e9eec211aba2649ba1c9ee1917b4edcc8fee92aaa1c62d175cee"),
+    ("kostka --n 5 --json", "1cbf77283013993fadcdc8d7c7961c9040939ff5bfaf57645f5913248de5aef6"),
+    ("kostka --N 2 --n 3", "57333b9f2446e10ba10d75cfb749cab6c15db0bb96e950798f4826d387477a4d"),
+    ("kostka --N 2 --n 3 --json", "fe199004df894840cf5cd059341f4c096ce52d349e83f47358bf4f7ade971d33"),
+    ("character --partition 3,1", "dc173040eded179a207ecde8cf917c763ff45a650e2377b1e18b69360b283f9f"),
+    ("character --partition 3,1 --json", "0c0f6b537489c493ec822470472a919bcc8fa321318c3409eb31ed9d93f9df16"),
+    (
+        "character --gamma-partition 2,1;-;1",
+        "f6b05879282143e56579eeb7f929c4e684ea459ec88701c301b32214172a69f4",
+    ),
+    (
+        "character --gamma-partition 2,1;-;1 --json",
+        "6f165e1b5b8f34cc1016a5bffd85ff8ebbfb740a66807e2919f2ca21d56846cd",
+    ),
+    ("character --n 5", "754943a4e73d85e0b8993ea024319c104a4f1e1ab03535dade7b7f00f0a5b33c"),
+    ("character --n 5 --json", "1bd651f8202acc4ee82091e76592ed3203142a1100f56ed79eb89da7a5bb0769"),
+    ("character --N 2 --n 3", "32f771d31b714345c3402475ffe278c61684203f802299a40db95e13cda55f2d"),
+    ("character --N 2 --n 3 --json", "0d1e871e9116e249cda138a9b8dfce7f313cb9653fcfb13bb82a0fb9fd828c80"),
+    ("tangent --partition 3,2,1", "07afeb32d062ec99493919df91c0a976a3cfef3a07d96cf434bf34a978e4353f"),
+    ("tangent --partition 3,2,1 --json", "d83b6d376d9832405798f1f6b49dc3315c6cead8fa3683d422fc195eee697cad"),
+    ("tangent --partition -", "df1148031ada5c8b5b0073e62af49a6fdc2c3859f28c69ed31b75fc7ed829105"),
+    ("tangent --partition - --json", "bea5698134f78dc10e0b12946efaca3f6127ffbf102bf41a2e0ab1c53cb6df0a"),
+    ("tangent --n 5", "0830542ad0b4174b29140dd6727abe0c86ac416239ffa635566effab98bfce0c"),
+    ("tangent --n 5 --json", "a60ae866609b3f325daf70e916bfcc9ddecb1d18d03396d3b9490b0342c94b02"),
+    ("schur-p1n --n 4", "02c605e87b9cadb0c92ddc617de341bea6aefcb40185e7b7c51446029785c4c2"),
+    ("schur-p1n --n 4 --json", "68d61a25846e4e458659d4c6d9ba8e5f895a87e8f50b4563cbc350d088fd4eda"),
+    ("schur-p1n --N 2 --n 3", "a5c6369bc692735b94cd50171c68a0b2261d48651dd050bd11abdbcf60bbfb5c"),
+    ("schur-p1n --N 2 --n 3 --json", "1baef37709e856d45ec143beec6af43d89aecf68e2d550c359c679bd5e066b51"),
+    ("wreath --N 2 --n 3", "59f0021c18774f640600fda326f90ff488b25cbd6d3a1f0bc0bb027ee62b1f54"),
+    ("wreath --N 2 --n 3 --json", "3f4e56d4dd5c0e119c67807b139f81b973777ee07063203dd84ddf66732de61a"),
+    ("verify-all --n 3 --N 2 --seed 7", "43b7a71b4860e74077c25546d8b602f2116536053dc98d8bd1d6d1092df63d6b"),
+    (
+        "verify-all --n 3 --N 2 --seed 7 --json",
+        "8c728b69144674465285bda170009797df03443bf146f6a8448169c5f785db49",
+    ),
+    (
+        "verify-all --n 3 --N 2 --inject-hook-corruption",
+        "3df4ec9a8fa8fe744a6e43a58fd96cdd5e7c4bd490086f6eb730db5b90d22d86",
+    ),
+    (
+        "verify-all --n 3 --N 2 --inject-hook-corruption --json",
+        "51c7078320f7ff1f0baa39e9559860bf5d4bfa1ec53b1531fed18cbb7887adfe",
+    ),
+    (
+        "cm-verify --y 0,1,5/2 --alpha 1/2,0,3",
+        "e8bbefaf31ed4c608572063ea795297fd237ba2a0b615b7fee6dc35bca02d0ab",
+    ),
+    (
+        "cm-verify --y 0,1,5/2 --alpha 1/2,0,3 --json",
+        "9734f81f1c325854ab316b867986c9a1931c61c90266ea0f27f008e5493fc524",
+    ),
+    (
+        "cm verify --y 0,1,5/2 --alpha 1/2,0,3",
+        "e8bbefaf31ed4c608572063ea795297fd237ba2a0b615b7fee6dc35bca02d0ab",
+    ),
+    (
+        "cm verify --y 0,1,5/2 --alpha 1/2,0,3 --json",
+        "9734f81f1c325854ab316b867986c9a1931c61c90266ea0f27f008e5493fc524",
+    ),
+    (
+        "cm-embed --y 0,1,5/2 --alpha 1/2,0,3",
+        "4127637bb6c395887938afd884d04af693628fb473c369196465e8aa45f4d5cf",
+    ),
+    (
+        "cm-embed --y 0,1,5/2 --alpha 1/2,0,3 --json",
+        "fde178cd71d3f98ff8039b76071b9ca46924eb3da6a14bf71e2e94eff500a1eb",
+    ),
+    (
+        "cm embed --y 0,1,5/2 --alpha 1/2,0,3",
+        "4127637bb6c395887938afd884d04af693628fb473c369196465e8aa45f4d5cf",
+    ),
+    (
+        "cm embed --y 0,1,5/2 --alpha 1/2,0,3 --json",
+        "fde178cd71d3f98ff8039b76071b9ca46924eb3da6a14bf71e2e94eff500a1eb",
+    ),
+    ("kostka --partition 2,0", "9631dc7b955240456c93aee62640491ce47201308a887cd2650f1911706f0fc0"),
+    ("kostka --partition 2,0 --json", "9631dc7b955240456c93aee62640491ce47201308a887cd2650f1911706f0fc0"),
+    ("kostka --partition 3,1 --N 5", "dcc92271dbedaf61084caf2a5edfe54de54d894069af3e04a2e4d6bc144ff3d7"),
+    (
+        "kostka --partition 3,1 --N 5 --json",
+        "dcc92271dbedaf61084caf2a5edfe54de54d894069af3e04a2e4d6bc144ff3d7",
+    ),
+    (
+        "character --gamma-partition 1;1 --N 3",
+        "1f621c7f84f3219980299f4bbebcfd65bd8ad586e98e19dfef71912956837aa1",
+    ),
+    (
+        "character --gamma-partition 1;1 --N 3 --json",
+        "1f621c7f84f3219980299f4bbebcfd65bd8ad586e98e19dfef71912956837aa1",
+    ),
+    ("kostka --n 21", "2046706831bc557e23c7c5d6a6fbfc9c8e2fc2c9f42543c6ae087f6fde429407"),
+    ("kostka --n 21 --json", "2046706831bc557e23c7c5d6a6fbfc9c8e2fc2c9f42543c6ae087f6fde429407"),
+    ("character --N 5 --n 1", "db60e986e91aa60783e8195d42c564934f1cb7cf07c127f4274f8a3883bd9ad9"),
+    ("character --N 5 --n 1 --json", "db60e986e91aa60783e8195d42c564934f1cb7cf07c127f4274f8a3883bd9ad9"),
+    ("wreath --N 4 --n 11", "085085fa6ec807eb25bba714855f63f6def2a9b443294749e33cb2fad4851171"),
+    ("wreath --N 4 --n 11 --json", "085085fa6ec807eb25bba714855f63f6def2a9b443294749e33cb2fad4851171"),
+    ("schur-p1n --n 21", "2046706831bc557e23c7c5d6a6fbfc9c8e2fc2c9f42543c6ae087f6fde429407"),
+    ("schur-p1n --n 21 --json", "2046706831bc557e23c7c5d6a6fbfc9c8e2fc2c9f42543c6ae087f6fde429407"),
+    ("cm-verify --y 0,0 --alpha 1,2", "fce6a5382458e7ea0820b67b5a95d6b410547fb2bcd32babc1c77ab5157238de"),
+    (
+        "cm-verify --y 0,0 --alpha 1,2 --json",
+        "fce6a5382458e7ea0820b67b5a95d6b410547fb2bcd32babc1c77ab5157238de",
+    ),
+    ("cm embed --y 0,1 --alpha 1", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
+    ("cm embed --y 0,1 --alpha 1 --json", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
+]
+
+
+def _invocation_digest(argv):
+    """SHA-256 of "<exit>\\0<stdout>\\0<stderr>" for one in-process run of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, digest", CLI_DIGESTS, ids=[c for c, _ in CLI_DIGESTS])
+def test_cli_renderings_are_pinned(command, digest):
+    assert _invocation_digest(command.split()) == digest
+
+
+def _falsified_wreath(capsys, *flags):
+    code, out, err = run_cli(capsys, "wreath", "--N", "2", "--n", "2", *flags)
+    assert (code, err) == (1, "")
+    return out
+
+
+def test_wreath_reports_a_dimension_that_breaks_the_order_sum(capsys, monkeypatch):
+    real = cli.gamma_dimension
+    monkeypatch.setattr(cli, "gamma_dimension", lambda gp: real(gp) + 1)
+    lines = _falsified_wreath(capsys).splitlines()
+    assert lines[-2:] == ["verified: false", "falsified: kostka value at 1 differs from dimension at 2;-"]
+    data = json.loads(_falsified_wreath(capsys, "--json"))
+    assert data["verified"] is False and data["labels"][0]["dimension"] == "2"
+
+
+def test_wreath_reports_a_sum_of_squares_off_the_group_order(capsys, monkeypatch):
+    # Dimension and Kostka polynomial move together, so each label still agrees
+    # at q = 1 and only the order identity fails.
+    real_dimension, real_kostka = cli.gamma_dimension, cli.kostka_wreath
+    monkeypatch.setattr(cli, "gamma_dimension", lambda gp: 2 * real_dimension(gp))
+    monkeypatch.setattr(cli, "kostka_wreath", lambda gp: real_kostka(gp) + real_kostka(gp))
+    lines = _falsified_wreath(capsys).splitlines()
+    assert lines[-4:] == [
+        "sum of squared dimensions: 32",
+        "wreath group order: 8",
+        "verified: false",
+        "falsified: sum of squared dimensions 32 != group order 8",
+    ]
+    data = json.loads(_falsified_wreath(capsys, "--json"))
+    assert (data["verified"], data["sum_of_squares"], data["group_order"]) == (False, "32", "8")
 
 
 def test_console_entry_point_runs():
