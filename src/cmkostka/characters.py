@@ -2,6 +2,12 @@
 
 The normalization used throughout: K has constant term 1, and the weight of
 the line spanned by z^a under the contracting torus action is -a.
+
+The hook formula sees only a label's size and hook multiset, so the Kostka
+polynomial and the zero-fiber character K(q) K(1/q) are each built once per
+(size, sorted hooks) and kept in a bounded cache.  Callers therefore receive
+shared results: conjugate partitions and wreath labels that differ only in
+slot order get the same LaurentPoly objects, which are immutable.
 """
 
 from dataclasses import dataclass
@@ -42,16 +48,21 @@ def _label_hooks(label):
     raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
+def _hook_key(label):
+    """(size, sorted hook multiset): all the hook formula sees of a label."""
+    hooks = _label_hooks(label)  # first, so a non-label raises TypeError
+    return label.size, tuple(sorted(hooks))
+
+
 @lru_cache(maxsize=4096)
 def _hook_quotient(n, hooks):
-    # The formula sees only the size and the hook multiset, so labels sharing
-    # them (conjugates, permuted wreath components) share one immutable result.
     return one_minus_quotient(range(1, n + 1), hooks)
 
 
-def _q_hook_formula(label):
-    hooks = _label_hooks(label)  # first, so a non-label raises TypeError
-    return _hook_quotient(label.size, tuple(sorted(hooks)))
+@lru_cache(maxsize=4096)
+def _hook_character(n, hooks):
+    k = _hook_quotient(n, hooks)
+    return k * substitute_inverse(k)
 
 
 def kostka(label):
@@ -60,19 +71,24 @@ def kostka(label):
     (1-q)...(1-q^n) divided exactly by prod over cells of (1 - q^hook), with n
     the total size; a GammaPartition's cells are those of all its components.
     """
-    return _q_hook_formula(label)
+    return _hook_quotient(*_hook_key(label))
 
 
 def kostka_wreath(gp):
     """Wreath Kostka polynomial of an N-tuple of partitions; the same formula as kostka."""
-    return _q_hook_formula(gp)
+    return _hook_quotient(*_hook_key(gp))
 
 
 def character(label):
-    """Zero-fiber character report for a Partition or GammaPartition label."""
-    k = kostka(label)
-    ch = k * substitute_inverse(k)
-    return CharacterReport(label=label, kostka=k, character=ch, dimension=evaluate_at_one(k))
+    """Zero-fiber character report for a Partition or GammaPartition label.
+
+    The Kostka polynomial and the character are memoised per size and hook
+    multiset in bounded caches, so labels sharing a multiset (conjugates,
+    slot-permuted wreath labels) receive the same immutable objects.
+    """
+    key = _hook_key(label)
+    k = _hook_quotient(*key)
+    return CharacterReport(label=label, kostka=k, character=_hook_character(*key), dimension=evaluate_at_one(k))
 
 
 def fixed_point_exponents(lam, n=None):

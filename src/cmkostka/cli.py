@@ -62,8 +62,10 @@ def _one_or_all(entries, single):
     return entries[0] if single else entries
 
 
-# Largest batches kostka, character, schur-p1n and wreath accept, from measured
-# single runs: character --n 20 takes 2.3 s and character --N 4 --n 10 takes 3.3 s.
+# Largest batches kostka, character, schur-p1n and wreath accept, sized when
+# character --n 20 took 2.3 s and character --N 4 --n 10 took 3.3 s.  In a fresh
+# process on a 2-CPU box (median of 5) they now take 0.54 s and 0.87 s, and
+# 0.77 s and 2.4 s with --json.
 _MAX_BATCH_n = 20
 _MAX_BATCH_N, _MAX_BATCH_WREATH_n = 4, 10
 

@@ -133,6 +133,11 @@ class RationalMatrix:
     @staticmethod
     def diagonal(values):
         d, (a,) = _cleared([[_frac(v) for v in values]])
+        return RationalMatrix._diagonal(d, a)
+
+    @staticmethod
+    def _diagonal(d, a):
+        """The diagonal matrix with entries a_i / d, for a positive integer d."""
         n = len(a)
         return RationalMatrix._from_ints(d, [[a_i if i == j else 0 for j in range(n)] for i, a_i in enumerate(a)])
 
@@ -436,7 +441,8 @@ def wilson_representative(point):
     common denominator of the eigenvalues and a_i = d y_i, x_ij = d/(a_i - a_j).
     X is built as integers over den, the least common multiple of the alphas'
     denominators and of each (a_i - a_j) / gcd(d, a_i - a_j), the reduced
-    denominator of x_ij: its entries are den d / (a_i - a_j) and den alpha_i."""
+    denominator of x_ij: its entries are den d / (a_i - a_j) and den alpha_i.
+    Y is built from the same d and a_i, without clearing y again."""
     d, (a,) = _cleared([point.y])
     alpha = point.alpha
     den = lcm(
@@ -446,7 +452,7 @@ def wilson_representative(point):
     alpha_ints = [alpha_i.numerator * (den // alpha_i.denominator) for alpha_i in alpha]
     dd = den * d
     x_rows = [[alpha_ints[i] if i == j else dd // (a_i - a_j) for j, a_j in enumerate(a)] for i, a_i in enumerate(a)]
-    return RationalMatrix._from_ints(den, x_rows), RationalMatrix.diagonal(point.y)
+    return RationalMatrix._from_ints(den, x_rows), RationalMatrix._diagonal(d, a)
 
 
 def commutator_plus_identity(x, y):

@@ -376,9 +376,10 @@ def _check_involution_preserves_rank_one(lim):
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         x, y = wilson_representative(point)
-        if not verify_cm(*involution(x, y))[0]:
+        swapped = involution(x, y)
+        if not verify_cm(*swapped)[0]:
             return f"{_y_label(point)}: involution broke the rank-one condition"
-        xi, yi = involution(*involution(x, y))
+        xi, yi = involution(*swapped)
         if xi != x or yi != y:
             return f"{_y_label(point)}: applying the involution twice changed the pair"
 

@@ -135,10 +135,12 @@ def _memo_labels():
 def test_memoised_kostka_matches_fresh_quotient(cache):
     if cache == "cold":
         characters._hook_quotient.cache_clear()
+        characters._hook_character.cache_clear()
         _hook_lengths.cache_clear()
     else:
         for label, _ in _memo_labels():
-            kostka(label)
+            character(label)
+    warm_misses = characters._hook_character.cache_info().misses
     for label, components in _memo_labels():
         expected = _fresh_kostka(components)
         assert kostka(label) == expected
@@ -149,10 +151,38 @@ def test_memoised_kostka_matches_fresh_quotient(cache):
         assert report.character == expected * substitute_inverse(expected)
         assert report.dimension == evaluate_at_one(expected)
     assert characters._hook_quotient.cache_info().hits > 0
+    if cache == "warm":
+        info = characters._hook_character.cache_info()
+        assert info.hits > 0 and info.misses == warm_misses
+
+
+def _sharing_labels():
+    """Labels with their hook multisets read cell by cell, not through the caches."""
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            yield lam, n, sorted(lam.hook(r, c) for r, c in lam.cells())
+    for n in range(6):
+        for gp in enumerate_gamma_partitions(3, n):
+            yield gp, n, sorted(comp.hook(r, c) for comp in gp.components for r, c in comp.cells())
+
+
+def test_characters_are_shared_per_hook_multiset():
+    lam = Partition((4, 2, 1))
+    assert character(lam).character is character(lam.conjugate()).character
+    gp = GammaPartition((Partition((2, 1)), Partition(()), Partition((3,))))
+    assert character(gp).character is character(gp.permuted((2, 0, 1))).character
+    assert character(Partition((3, 1))).character is not character(Partition((2, 2))).character
+    first = {}
+    for label, n, hooks in _sharing_labels():
+        report = character(label)
+        shared = first.setdefault((n, tuple(hooks)), report)
+        assert report.kostka is shared.kostka and report.character is shared.character
+    # every report in first is alive, so distinct keys show as distinct ids
+    assert len({id(report.character) for report in first.values()}) == len(first)
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, _hook_lengths,
+    for cached in (characters._hook_quotient, characters._hook_character, _hook_lengths,
                    qpoly._one_minus_q, qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
 

@@ -424,6 +424,9 @@ CLI_DIGESTS = [
     ("character --n 5 --json", "1bd651f8202acc4ee82091e76592ed3203142a1100f56ed79eb89da7a5bb0769"),
     ("character --N 2 --n 3", "32f771d31b714345c3402475ffe278c61684203f802299a40db95e13cda55f2d"),
     ("character --N 2 --n 3 --json", "0d1e871e9116e249cda138a9b8dfce7f313cb9653fcfb13bb82a0fb9fd828c80"),
+    # a batch in which many labels share one hook multiset, hence one cached character
+    ("character --N 4 --n 6", "9abae64aa392f9771503d4e38cbd233719b259335309e55f3ca6e87658715940"),
+    ("character --N 4 --n 6 --json", "c3c9ca3d3aba63bfab25a33323aafe81449fb03c3bf3c5eb2c1379654b3dd74d"),
     ("tangent --partition 3,2,1", "07afeb32d062ec99493919df91c0a976a3cfef3a07d96cf434bf34a978e4353f"),
     ("tangent --partition 3,2,1 --json", "d83b6d376d9832405798f1f6b49dc3315c6cead8fa3683d422fc195eee697cad"),
     ("tangent --partition -", "df1148031ada5c8b5b0073e62af49a6fdc2c3859f28c69ed31b75fc7ed829105"),

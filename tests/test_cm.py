@@ -441,6 +441,17 @@ def test_wilson_representative_golden():
     assert x3.entries[0][2] == Fraction(-1, 2)
 
 
+def test_wilson_y_is_the_diagonal_of_the_eigenvalues():
+    rng = random.Random(2033)
+    points = [_seeded_point(rng, n) for n in (1, 2, 3, 5, 8, 12, 20)]
+    points.append(CMPointRegular(list(range(-3, 4)), [0] * 7))
+    for point in points:
+        _, y = wilson_representative(point)
+        assert y == RationalMatrix.diagonal(point.y)
+        n = len(point.y)
+        assert y.entries == tuple(tuple(y_i if i == j else 0 for j in range(n)) for i, y_i in enumerate(point.y))
+
+
 def test_verify_cm_trivial_sizes():
     ok, m, witness = verify_cm(RationalMatrix([[0]]), RationalMatrix([[0]]))
     assert ok and m.entries == ((1,),) and witness == ((Fraction(1),), (Fraction(1),))
