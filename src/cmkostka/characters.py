@@ -38,19 +38,18 @@ class CharacterReport:
     dimension: int
 
 
-def _label_hooks(label):
-    """Hook multiset of a label: the cells of a Partition, or of every
-    component of a GammaPartition."""
-    if isinstance(label, Partition):
-        return hook_lengths(label)
-    if isinstance(label, GammaPartition):
-        return [h for comp in label.components for h in hook_lengths(comp)]
-    raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
-
-
 def _hook_key(label):
-    """(size, sorted hook multiset): all the hook formula sees of a label."""
-    hooks = _label_hooks(label)  # first, so a non-label raises TypeError
+    """(size, sorted hook multiset): all the hook formula sees of a label.
+
+    The hooks are those of the cells of a Partition, or of every component
+    of a GammaPartition; anything else raises TypeError.
+    """
+    if isinstance(label, Partition):
+        hooks = hook_lengths(label)
+    elif isinstance(label, GammaPartition):
+        hooks = [h for comp in label.components for h in hook_lengths(comp)]
+    else:
+        raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
     return label.size, tuple(sorted(hooks))
 
 
@@ -107,20 +106,13 @@ def fixed_point_exponents(lam, n=None):
 def tangent_weights(lam):
     """Torus weights on the tangent space of the Schubert cell at its fixed point.
 
-    For each basis exponent a_i (decreasing), one Hom line to every larger
-    exponent b <= 2n-1 not itself a basis exponent a_k with k < i; each line
-    contributes weight a_i - b.  Returns the multiset as an increasing tuple
-    of exactly n strictly negative integers.
+    One Hom line from each basis exponent a to every non-basis exponent b
+    with a < b <= 2n-1, of weight a - b.  Returns the multiset as an
+    increasing tuple of exactly n strictly negative integers.
     """
     n = lam.size
-    a = sorted(fixed_point_exponents(lam), reverse=True)
-    weights = []
-    for i in range(n):
-        used = set(a[:i])
-        for b in range(a[i] + 1, 2 * n):
-            if b not in used:
-                weights.append(a[i] - b)
-    return tuple(sorted(weights))
+    basis = fixed_point_exponents(lam)
+    return tuple(sorted(a - b for a in basis for b in range(a + 1, 2 * n) if b not in basis))
 
 
 def completion_character_check(lam, order, hooks=None):

@@ -84,6 +84,8 @@ class RationalMatrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
+        if not cols:
+            raise ValueError("matrix needs at least one column")
         # the least common denominator of reduced fractions shares no factor
         # with all of the cleared numerators, so this form is already reduced
         den, ints = _cleared(entries)
@@ -645,9 +647,12 @@ def component_line(point, y_i):
 def monomial_subspace(exponents, ambient):
     """Coordinate subspace spanned by the given monomial exponents, as a basis matrix.
 
-    Each exponent must be an int (TypeError otherwise) in 0 <= e < ambient.
+    Each exponent must be an int (TypeError otherwise) in 0 <= e < ambient,
+    and there must be at least one.
     """
     exps = sorted(map(index, exponents), reverse=True)
+    if not exps:
+        raise ValueError("need at least one exponent")
     if any(e < 0 or e >= ambient for e in exps):
         raise ValueError(f"exponents {exps} outside ambient degree {ambient}")
     return RationalMatrix._from_ints(1, [[int(e == r) for e in exps] for r in range(ambient)])

@@ -9,6 +9,7 @@ weakly increasing sequence padded with zeros to a fixed length; use
 import operator
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 
@@ -17,10 +18,11 @@ class BoundExceeded(ValueError):
 
 
 class PartitionParseError(ValueError):
-    """Bad partition text; carries the character position of the offending token."""
+    """Bad partition text; carries the reason and the character position of the offending token."""
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, reason, position):
+        super().__init__(f"{reason} (at position {position})")
+        self.reason = reason
         self.position = position
 
 
@@ -172,32 +174,20 @@ class GammaPartition:
         return GammaPartition(tuple(self.components[i] for i in perm))
 
 
-def _partition_tuples(n):
-    # Reverse-lexicographic order: (n) first, (1,...,1) last.
+def _partition_tuples(n, largest):
+    # Partitions of n into parts of at most largest, in reverse-lexicographic
+    # order: the biggest first part first, (1,...,1) last.
     if n == 0:
         yield ()
         return
-    cur = [n]
-    while True:
-        yield tuple(cur)
-        rem = 0
-        while cur and cur[-1] == 1:
-            rem += 1
-            cur.pop()
-        if not cur:
-            return
-        cur[-1] -= 1
-        rem += 1
-        cap = cur[-1]
-        while rem > 0:
-            t = min(cap, rem)
-            cur.append(t)
-            rem -= t
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partition_tuples(n - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
 def _partitions_of(n):
-    return tuple(Partition(t) for t in _partition_tuples(n))
+    return tuple(Partition(t) for t in _partition_tuples(n, n))
 
 
 def enumerate_partitions(n):
@@ -238,7 +228,7 @@ def syt_enumerate(lam, max_size=10):
 
     Independent of the hook formula; refuses shapes larger than max_size.
     """
-    if lam.size > max_size:
+    if lam.size > operator.index(max_size):
         raise BoundExceeded(f"shape of size {lam.size} exceeds enumeration bound {max_size}")
     return _corner_removal_count(lam.parts)
 
@@ -302,14 +292,7 @@ def enumerate_gamma_partitions(N, n):
         raise ValueError("N must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-    for comp in _compositions(n, N):
-        choices = [_partitions_of(c) for c in comp]
-        stack = [()]
-        for options in choices:
-            stack = [pre + (opt,) for pre in stack for opt in options]
-        out.extend(GammaPartition(t) for t in stack)
-    return out
+    return [GammaPartition(t) for comp in _compositions(n, N) for t in product(*map(_partitions_of, comp))]
 
 
 def parse_partition(text):
@@ -341,6 +324,6 @@ def parse_gamma_partition(text):
         try:
             components.append(parse_partition(chunk))
         except PartitionParseError as err:
-            raise PartitionParseError(str(err).rsplit(" (at", 1)[0], pos + err.position) from None
+            raise PartitionParseError(err.reason, pos + err.position) from None
         pos += len(chunk) + 1
     return GammaPartition(components)

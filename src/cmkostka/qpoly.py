@@ -6,9 +6,9 @@ every operation; a product picks its path from its factors: a schoolbook
 double loop over the terms when a factor has few terms or the factors are
 sparse over their exponent span, and otherwise Kronecker substitution, one
 big-integer product of the factors evaluated at a power of two.  Division is
-exact or it raises; there is no floating point anywhere.  The factors
-1 - q^k, the q-factorials and the q-multinomials are each built once, in
-bounded caches read only after operator.index has validated the arguments.
+exact or it raises; there is no floating point anywhere.  The q-factorials
+and the q-multinomials are each built once, in bounded caches read only
+after operator.index has validated the arguments.
 """
 
 from collections import Counter
@@ -155,6 +155,7 @@ class LaurentPoly:
 
     def truncated(self, order):
         """Drop all terms with exponent > order."""
+        order = index(order)
         return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= order})
 
     def is_palindromic(self):
@@ -227,19 +228,15 @@ def _evaluate_at_power_of_two(coeffs, low, bits):
     return value
 
 
-# The factor, q-factorial and q-multinomial caches below are bounded, and
-# each public function validates its arguments with operator.index before
-# the lookup, so 2.0 or Fraction(2) raises TypeError on a warm cache as on a
+# The q-factorial and q-multinomial caches below are bounded, and each
+# public function validates its arguments with operator.index before the
+# lookup, so 2.0 or Fraction(2) raises TypeError on a warm cache as on a
 # cold one rather than hitting the entry for 2.
 
 
 def one_minus_q(k):
     """1 - q^k; the zero polynomial for k = 0."""
-    return _one_minus_q(index(k))
-
-
-@lru_cache(maxsize=256)
-def _one_minus_q(k):
+    k = index(k)
     return LaurentPoly._from_ints({0: 1, k: -1} if k else {})
 
 
@@ -255,7 +252,7 @@ def qfactorial_product(n):
 def _qfactorial_product(n):
     result = LaurentPoly.one()
     for i in range(1, n + 1):
-        result = result * _one_minus_q(i)
+        result = result * one_minus_q(i)
     return result
 
 
@@ -374,17 +371,11 @@ def geometric_product_series(exponents, order):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    series = {0: 1}
+    coeffs = [1] + [0] * order
     for e in exponents:
         if e < 1:
             raise ValueError(f"geometric factors need positive exponents, got {e}")
-        # multiply by 1/(1 - q^e): out[k] = sum of series[k - j*e]
-        out = {}
-        for k in range(order + 1):
-            s = series.get(k, 0)
-            if k >= e:
-                s += out.get(k - e, 0)
-            if s:
-                out[k] = s
-        series = out
-    return LaurentPoly(series)
+        # multiply by 1/(1 - q^e): c[k] += c[k - e] in increasing k
+        for k in range(e, order + 1):
+            coeffs[k] += coeffs[k - e]
+    return LaurentPoly(dict(enumerate(coeffs)))

@@ -197,8 +197,6 @@ def _check_tangent_sign_split(lim):
         weights = tangent_weights(lam)
         if any(w >= 0 for w in weights):
             return f"lambda={lam}: nonnegative tangent weight in {weights}"
-        if set(weights) & {-w for w in weights}:
-            return f"lambda={lam}: weight sets of the two projections overlap"
 
 
 def _check_kostka_normalization(lim):

@@ -183,7 +183,7 @@ def test_characters_are_shared_per_hook_multiset():
 
 def test_caches_are_bounded():
     for cached in (characters._hook_quotient, characters._hook_character, _hook_lengths,
-                   qpoly._one_minus_q, qpoly._qfactorial_product, qpoly._qmultinomial):
+                   qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
 
 
@@ -277,6 +277,12 @@ def test_tangent_weights_match_negated_hooks():
         for lam in enumerate_partitions(n):
             negated = tuple(sorted(-h for h in hook_lengths(lam)))
             assert tangent_weights(lam) == negated
+
+
+def test_tangent_weights_match_negated_hooks_through_twelve():
+    for n in range(7, 13):
+        for lam in enumerate_partitions(n):
+            assert tangent_weights(lam) == tuple(sorted(-h for h in hook_lengths(lam)))
 
 
 def test_tangent_weights_strictly_negative():

@@ -362,6 +362,14 @@ def test_rank_one_witness_that_does_not_factor_fails(monkeypatch):
     assert result.detail.endswith(": witness does not factor the matrix")
 
 
+@pytest.mark.parametrize("weight", [0, 2])
+def test_nonnegative_tangent_weight_fails_the_sign_split(monkeypatch, weight):
+    monkeypatch.setattr(verify, "tangent_weights", lambda lam: (-1, weight))
+    (result,) = verify.run_checks(names=["tangent-weights-sign-split"], n=3)
+    assert (result.passed, result.items) == (False, 1)
+    assert result.detail == f"lambda=-: nonnegative tangent weight in (-1, {weight})"
+
+
 BAD_LIMITS = [
     ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"max_size": 0}, ValueError),
     ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
@@ -410,6 +418,7 @@ CLI_DIGESTS = [
     ("kostka --n 5 --json", "1cbf77283013993fadcdc8d7c7961c9040939ff5bfaf57645f5913248de5aef6"),
     ("kostka --N 2 --n 3", "57333b9f2446e10ba10d75cfb749cab6c15db0bb96e950798f4826d387477a4d"),
     ("kostka --N 2 --n 3 --json", "fe199004df894840cf5cd059341f4c096ce52d349e83f47358bf4f7ade971d33"),
+    ("kostka --N 4 --n 8", "489c2f9ae06b20d8858e0d9d8e15e796a31c2111aff480c022393ad106f71c63"),
     ("character --partition 3,1", "dc173040eded179a207ecde8cf917c763ff45a650e2377b1e18b69360b283f9f"),
     ("character --partition 3,1 --json", "0c0f6b537489c493ec822470472a919bcc8fa321318c3409eb31ed9d93f9df16"),
     (
@@ -433,6 +442,8 @@ CLI_DIGESTS = [
     ("tangent --partition - --json", "bea5698134f78dc10e0b12946efaca3f6127ffbf102bf41a2e0ab1c53cb6df0a"),
     ("tangent --n 5", "0830542ad0b4174b29140dd6727abe0c86ac416239ffa635566effab98bfce0c"),
     ("tangent --n 5 --json", "a60ae866609b3f325daf70e916bfcc9ddecb1d18d03396d3b9490b0342c94b02"),
+    ("tangent --n 16", "d380a4a2b40c0391d7ffc31ba7d5c1618a4ea84757d11c28e2b74ba93bd44eaf"),
+    ("tangent --n 16 --json", "4f014520fbd10a01ab8e2e79154559fe65439ae1bf3d9a3bb0681f2111258287"),
     ("schur-p1n --n 4", "02c605e87b9cadb0c92ddc617de341bea6aefcb40185e7b7c51446029785c4c2"),
     ("schur-p1n --n 4 --json", "68d61a25846e4e458659d4c6d9ba8e5f895a87e8f50b4563cbc350d088fd4eda"),
     ("schur-p1n --N 2 --n 3", "a5c6369bc692735b94cd50171c68a0b2261d48651dd050bd11abdbcf60bbfb5c"),

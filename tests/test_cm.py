@@ -112,6 +112,13 @@ def test_matrix_constructor_validation():
         m.entries = ()
 
 
+def test_matrix_constructor_refuses_zero_columns():
+    with pytest.raises(ValueError, match="matrix needs at least one column"):
+        RationalMatrix([[]])
+    with pytest.raises(ValueError, match="matrix needs at least one column"):
+        RationalMatrix([[], []])
+
+
 def test_matrix_arithmetic_golden():
     a = RationalMatrix([[1, 2], [3, 4]])
     b = RationalMatrix([[0, 1], [1, 0]])
@@ -650,6 +657,11 @@ def test_component_line_errors():
 
 
 # -- Schubert profiles
+
+
+def test_monomial_subspace_refuses_no_exponents():
+    with pytest.raises(ValueError, match="need at least one exponent"):
+        monomial_subspace([], 2)
 
 
 def test_monomial_subspace_golden():

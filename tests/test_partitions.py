@@ -141,6 +141,11 @@ def test_syt_enumerate_refuses_large_shapes():
         syt_enumerate(Partition((6, 5)), max_size=10)
 
 
+def test_syt_enumerate_refuses_an_inexact_bound():
+    with pytest.raises(TypeError):
+        syt_enumerate(Partition((2,)), max_size=2.5)
+
+
 def test_standard_tableaux_listing_and_major_index():
     rows = sorted(standard_tableaux(Partition((2, 1))))
     assert rows == [(0, 0, 1), (0, 1, 0)]
@@ -212,6 +217,26 @@ def test_gamma_enumeration_first_and_last():
     assert len(set(tuples)) == len(tuples)
 
 
+def test_enumeration_is_strictly_decreasing():
+    # reverse-lexicographic with no repeats
+    for n in range(26):
+        parts = enumerate_partitions(n)
+        assert all(b < a for a, b in zip(parts, parts[1:]))
+
+
+def test_gamma_enumeration_order():
+    # compositions with the first slot largest first, then each slot's
+    # partitions in enumeration order, the last slot varying fastest
+    position = {lam: i for n in range(9) for i, lam in enumerate(enumerate_partitions(n))}
+    for N in range(1, 5):
+        for n in range(9):
+            labels = enumerate_gamma_partitions(N, n)
+            assert len(set(labels)) == len(labels)
+            keys = [(tuple(-c.size for c in gp.components), tuple(position[c] for c in gp.components))
+                    for gp in labels]
+            assert keys == sorted(keys)
+
+
 def test_wreath_group_order_identity():
     for N in range(1, 5):
         for n in range(5):
@@ -235,6 +260,21 @@ def test_parse_partition_errors_carry_position():
     with pytest.raises(PartitionParseError) as err:
         parse_partition("2,0")
     assert err.value.position == 2
+
+
+def test_parse_errors_carry_their_reason():
+    with pytest.raises(PartitionParseError) as err:
+        parse_partition("3,x")
+    assert err.value.reason == "expected an integer part, got 'x'"
+    assert str(err.value) == "expected an integer part, got 'x' (at position 2)"
+    with pytest.raises(PartitionParseError) as err:
+        parse_gamma_partition("2;1,bad")
+    assert err.value.reason == "expected an integer part, got 'bad'"
+    assert str(err.value) == "expected an integer part, got 'bad' (at position 4)"
+    with pytest.raises(PartitionParseError) as err:
+        parse_gamma_partition("2,1;-;1,2")
+    assert err.value.reason == "parts must be weakly decreasing, got 2 after 1"
+    assert err.value.position == 8
 
 
 def test_parse_gamma_partition():

@@ -239,7 +239,7 @@ def _weak_compositions(n, parts):
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 def test_cached_q_factorials_and_multinomials_match_fresh_products(cache):
     if cache == "cold":
-        for cached in (qpoly._one_minus_q, qpoly._qfactorial_product, qpoly._qmultinomial):
+        for cached in (qpoly._qfactorial_product, qpoly._qmultinomial):
             cached.cache_clear()
     for n in range(11):
         assert qfactorial_product(n) == _fresh_qfactorial(n)
@@ -467,6 +467,17 @@ def test_geometric_product_series_golden():
         geometric_product_series((0,), 3)
     with pytest.raises(ValueError):
         geometric_product_series((1,), -1)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=7), max_size=6), st.integers(min_value=0, max_value=20))
+def test_geometric_product_series_inverts_the_factors(exponents, order):
+    factors = prod(map(one_minus_q, exponents), start=LaurentPoly.one())
+    assert (geometric_product_series(exponents, order) * factors).truncated(order) == LaurentPoly.one()
+
+
+def test_truncated_refuses_an_inexact_order():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1, 1: 1}).truncated(0.5)
 
 
 @given(laurent_polys, laurent_polys)
