@@ -90,17 +90,15 @@ def character(label):
     return CharacterReport(label=label, kostka=k, character=_hook_character(*key), dimension=evaluate_at_one(k))
 
 
-def fixed_point_exponents(lam, n=None):
+def fixed_point_exponents(lam):
     """Monomial exponents spanning the torus-fixed subspace attached to the partition.
 
-    With parts padded increasing to length n, the exponents are 2n - l_i - i
-    for i = 1..n; they are n distinct values in [0, 2n-1].  n defaults to the
-    partition size and must be at least the number of parts.
+    With n the partition's size and its parts padded increasing to length n,
+    the exponents are 2n - l_i - i for i = 1..n; they are n distinct values
+    in [0, 2n-1].
     """
-    if n is None:
-        n = lam.size
-    padded = lam.padded_increasing(n)
-    return {2 * n - padded[i - 1] - i for i in range(1, n + 1)}
+    n = lam.size
+    return {2 * n - l_i - i for i, l_i in enumerate(lam.padded_increasing(n), 1)}
 
 
 def tangent_weights(lam):

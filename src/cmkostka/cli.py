@@ -238,9 +238,7 @@ def _cmd_cm_embed(args):
 
 
 def _cmd_verify_all(args):
-    results = run_checks(
-        n=args.n, N=args.N, seed=args.seed, corrupt_hooks=args.inject_hook_corruption, max_size=args.max_size
-    )
+    results = run_checks(n=args.n, N=args.N, seed=args.seed, corrupt_hooks=args.inject_hook_corruption)
     failed = [r.name for r in results if not r.passed]
     summary = f"{len(failed)} failed: " + ", ".join(failed) if failed else "all passed"
 
@@ -311,7 +309,6 @@ def build_parser():
     p.add_argument("--n", type=_positive, help="cap on partition sizes and matrix ranks")
     p.add_argument("--N", type=_positive, help="cap on component counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", dest="max_size", type=_positive, help="cap on tableau enumeration size")
     p.add_argument("--inject-hook-corruption", action="store_true", help=argparse.SUPPRESS)
 
     for p in [*sub.choices.values(), *cm_sub.choices.values()]:

@@ -89,11 +89,7 @@ class RationalMatrix:
         # the least common denominator of reduced fractions shares no factor
         # with all of the cleared numerators, so this form is already reduced
         den, ints = _cleared(entries)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ints", tuple(map(tuple, ints)))
-        object.__setattr__(self, "_entries", entries)
+        self._hold(den, tuple(map(tuple, ints)), entries)
 
     @staticmethod
     def _from_ints(den, rows):
@@ -108,12 +104,18 @@ class RationalMatrix:
                 den //= g
                 rows = tuple(tuple(v // g for v in row) for row in rows)
         m = object.__new__(RationalMatrix)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]))
-        object.__setattr__(m, "_den", den)
-        object.__setattr__(m, "_ints", rows)
-        object.__setattr__(m, "_entries", None)
+        m._hold(den, rows, None)
         return m
+
+    def _hold(self, den, ints, entries):
+        """Set the slots from the reduced integer form: den, the nonempty
+        tuple of equal-length integer tuples ints, and the Fraction rows
+        entries, or None to build them on first read."""
+        object.__setattr__(self, "rows", len(ints))
+        object.__setattr__(self, "cols", len(ints[0]))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -648,13 +650,15 @@ def monomial_subspace(exponents, ambient):
     """Coordinate subspace spanned by the given monomial exponents, as a basis matrix.
 
     Each exponent must be an int (TypeError otherwise) in 0 <= e < ambient,
-    and there must be at least one.
+    there must be at least one, and no two may be equal.
     """
     exps = sorted(map(index, exponents), reverse=True)
     if not exps:
         raise ValueError("need at least one exponent")
     if any(e < 0 or e >= ambient for e in exps):
         raise ValueError(f"exponents {exps} outside ambient degree {ambient}")
+    if len(set(exps)) != len(exps):
+        raise ValueError(f"repeated exponent in {exps}")
     return RationalMatrix._from_ints(1, [[int(e == r) for e in exps] for r in range(ambient)])
 
 

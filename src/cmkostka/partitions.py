@@ -197,13 +197,9 @@ def enumerate_partitions(n):
     return list(_partitions_of(n))
 
 
+@lru_cache(maxsize=4096)
 def hook_lengths(lam):
     """Multiset of hook lengths of the diagram, as a decreasing tuple."""
-    return _hook_lengths(lam)
-
-
-@lru_cache(maxsize=4096)
-def _hook_lengths(lam):
     # one pass from the conjugate: h(r, c) = lam_r - c + lam'_c - r - 1
     columns = lam.conjugate().parts
     return tuple(sorted((p - c + columns[c] - r - 1 for r, p in enumerate(lam.parts) for c in range(p)),

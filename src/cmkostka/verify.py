@@ -75,7 +75,6 @@ class _Limits:
     N: int | None
     seed: int
     corrupt_hooks: bool
-    max_size: int | None = None
 
     def cap_n(self, default):
         return default if self.n is None else min(default, self.n)
@@ -113,11 +112,10 @@ def _check_hook_conjugation(lim):
 
 
 def _check_tableau_count_oracle(lim):
-    bound = lim.cap_n(10 if lim.max_size is None else min(10, lim.max_size))
-    for lam in _partitions_up_to(bound):
+    for lam in _partitions_up_to(lim.cap_n(10)):
         yield
         formula = syt_count(lam)
-        enumerated = syt_enumerate(lam, max_size=bound)
+        enumerated = syt_enumerate(lam)
         if formula != enumerated:
             return f"lambda={lam}: hook formula {formula} != corner recursion {enumerated}"
 
@@ -423,19 +421,15 @@ def _check_embedding_block_factorization(lim):
         k = rng.randint(1, max_n)
         den = rng.choice((1, 2))
         numerators = rng.sample(range(-30, 31), m + k)
-        first = CMPointRegular(
-            [Fraction(v, den) for v in numerators[:m]],
-            [Fraction(rng.randint(-6, 6)) for _ in range(m)],
-        )
-        second = CMPointRegular(
-            [Fraction(v, den) for v in numerators[m:]],
-            [Fraction(rng.randint(-6, 6)) for _ in range(k)],
+        first, second = (
+            CMPointRegular([Fraction(v, den) for v in part], [Fraction(rng.randint(-6, 6)) for _ in part])
+            for part in (numerators[:m], numerators[m:])
         )
         joint = wilson_embed(first.concatenated(second))
-        if joint.ideal != tuple(poly_mul(list(wilson_embed(first).ideal), list(wilson_embed(second).ideal))):
+        factors = [wilson_embed(first), wilson_embed(second)]
+        if joint.ideal != tuple(poly_mul(list(factors[0].ideal), list(factors[1].ideal))):
             return "joint ideal is not the product of the two factors"
-        for part in (first, second):
-            small = wilson_embed(part)
+        for part, small in zip((first, second), factors):
             for y_i in part.y:
                 if component_line(joint, y_i) != component_line(small, y_i):
                     return f"component line at {y_i} differs between joint and factor embeddings"
@@ -504,22 +498,28 @@ def check_names():
     return tuple(name for name, _ in _REGISTRY)
 
 
-def run_checks(names=None, n=None, N=None, seed=0, corrupt_hooks=False, max_size=None):
+def run_checks(names=None, n=None, N=None, seed=0, corrupt_hooks=False):
     """Run the named checks (all by default) and return their results in registry order.
 
-    A check that raises is reported as failed; the remaining checks still run.
-    Limits are validated before any check runs: n, N and max_size must be
-    None or a positive integer and seed an int, else TypeError or ValueError.
+    names is None or an iterable of check names, such as a list or tuple; a
+    bare str raises TypeError.  Every check runs to min(its default size, n)
+    and min(its default component count, N), so a limit can only lower a
+    check's sizes.  A check that raises is reported as failed; the remaining
+    checks still run.  Arguments are validated before any check runs: n and N
+    must be None or a positive integer and seed an int, else TypeError or
+    ValueError.
     """
+    if isinstance(names, str):
+        raise TypeError(f"names must be an iterable of check names, not the str {names!r}")
     if not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
-    lim = _Limits(n=_positive_or_none("n", n), N=_positive_or_none("N", N), seed=seed,
-                  corrupt_hooks=corrupt_hooks, max_size=_positive_or_none("max_size", max_size))
-    selected = [(name, fn) for name, fn in _REGISTRY if names is None or name in names]
+    lim = _Limits(n=_positive_or_none("n", n), N=_positive_or_none("N", N), seed=seed, corrupt_hooks=corrupt_hooks)
     if names is not None:
-        unknown = set(names) - {name for name, _ in _REGISTRY}
+        names = set(names)  # read once, so a one-shot iterator selects every name it yields
+        unknown = names - set(check_names())
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+    selected = [(name, fn) for name, fn in _REGISTRY if names is None or name in names]
     results = []
     for name, fn in selected:
         try:

@@ -19,7 +19,6 @@ from cmkostka.characters import (
 from cmkostka.partitions import (
     GammaPartition,
     Partition,
-    _hook_lengths,
     enumerate_gamma_partitions,
     enumerate_partitions,
     hook_lengths,
@@ -136,7 +135,7 @@ def test_memoised_kostka_matches_fresh_quotient(cache):
     if cache == "cold":
         characters._hook_quotient.cache_clear()
         characters._hook_character.cache_clear()
-        _hook_lengths.cache_clear()
+        hook_lengths.cache_clear()
     else:
         for label, _ in _memo_labels():
             character(label)
@@ -182,7 +181,7 @@ def test_characters_are_shared_per_hook_multiset():
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, characters._hook_character, _hook_lengths,
+    for cached in (characters._hook_quotient, characters._hook_character, hook_lengths,
                    qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
 
@@ -254,8 +253,14 @@ def test_summed_wreath_character_detects_one_corrupted_component_hook(monkeypatc
 def test_fixed_point_exponents_golden():
     assert fixed_point_exponents(Partition((2, 1))) == {5, 3, 1}
     assert fixed_point_exponents(Partition((3,))) == {5, 4, 0}
-    assert fixed_point_exponents(Partition(()), n=2) == {3, 2}
     assert fixed_point_exponents(Partition((1,))) == {0}
+
+
+def test_fixed_point_exponents_take_the_size_from_the_partition():
+    # n is the partition's size, so no part can exceed it and push an exponent below 0
+    assert fixed_point_exponents(Partition(())) == set()
+    with pytest.raises(TypeError):
+        fixed_point_exponents(Partition((3,)), n=1)
 
 
 def test_fixed_point_exponents_are_distinct_in_range():

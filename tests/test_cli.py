@@ -371,7 +371,7 @@ def test_nonnegative_tangent_weight_fails_the_sign_split(monkeypatch, weight):
 
 
 BAD_LIMITS = [
-    ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"max_size": 0}, ValueError),
+    ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError),
     ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
 ]
 
@@ -384,8 +384,43 @@ def test_run_checks_rejects_bad_limits_before_any_check(monkeypatch, limits, err
         verify.run_checks(**limits)
     assert calls == []
     # the spy does record a run with good limits; bool counts as an int
-    verify.run_checks(n=True, N=2, max_size=3, seed=-4)
-    assert [(lim.n, lim.N, lim.max_size, lim.seed) for lim in calls] == [(1, 2, 3, -4)]
+    verify.run_checks(n=True, N=2, seed=-4)
+    assert [(lim.n, lim.N, lim.seed) for lim in calls] == [(1, 2, -4)]
+
+
+@pytest.mark.parametrize("names", ["tableau-square-sum", ""])
+def test_run_checks_refuses_a_bare_string_of_names(monkeypatch, names):
+    # a str is a collection of letters, which would read as unknown checks or as none
+    calls = []
+    monkeypatch.setattr(verify, "_REGISTRY", (("tableau-square-sum", lambda lim: calls.append(lim) or (1, "")),))
+    with pytest.raises(TypeError, match="names"):
+        verify.run_checks(names=names)
+    assert calls == []
+    for good in (["tableau-square-sum"], ("tableau-square-sum",)):
+        (result,) = verify.run_checks(names=good)
+        assert (result.name, result.passed, result.items) == ("tableau-square-sum", True, 1)
+
+
+def test_run_checks_reads_names_from_an_iterator_once():
+    names = ["hook-count-and-sum", "tableau-square-sum"]
+    assert [r.name for r in verify.run_checks(names=iter(names), n=2)] == names
+    assert [r.name for r in verify.run_checks(names=(name for name in names[1:]), n=2)] == names[1:]
+
+
+def test_tableau_size_cap_is_not_an_option(capsys):
+    # --n alone lowers the tableau-count-oracle cap, so there is no --max-size
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--max-size", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-size" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        verify.run_checks(max_size=3)
+
+
+def test_large_limits_only_lower_caps(capsys):
+    # every check runs to min(its default, --n) and min(its default, --N), so
+    # limits above the defaults change nothing and no size bound can be reached
+    assert run_cli(capsys, "verify-all", "--n", "1000", "--N", "1000") == (0, VERIFY_ALL_DEFAULT, "")
 
 
 # SHA-256 of stdout for the batches whose characters take the dense products.

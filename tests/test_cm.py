@@ -523,6 +523,39 @@ def test_projections_golden():
     assert char_y == poly_from_roots([0, 1])
 
 
+def _hook_fixed_pair(n, l):
+    """The closed-form fixed pair of the hook (n - l, 1^l), basis e_0..e_{n-1}
+    ordered by content -l..n-l-1: X e_k = e_{k+1} and Y e_{k+1} = c_k e_k,
+    with c_k = -(k + 1) for k < l and c_k = n - 1 - k for k >= l."""
+    x = [[int(i == k + 1) for k in range(n)] for i in range(n)]
+    y = [[0] * n for _ in range(n)]
+    for k in range(n - 1):
+        y[k][k + 1] = -(k + 1) if k < l else n - 1 - k
+    return RationalMatrix(x), RationalMatrix(y)
+
+
+def test_hook_fixed_pairs_are_nilpotent_rank_one_and_cstar_fixed():
+    pairs = 0
+    for n in range(1, 13):
+        for l in range(n):
+            x, y = _hook_fixed_pair(n, l)
+            assert x.charpoly() == y.charpoly() == (0,) * n + (1,)
+            # YX - XY + I = n e_l e_l^t
+            expected = RationalMatrix([[n if i == j == l else 0 for j in range(n)] for i in range(n)])
+            assert commutator_plus_identity(x, y) == expected
+            ok, m, witness = verify_cm(x, y)
+            assert ok and m == expected
+            column, row = witness
+            assert RationalMatrix([column]).transpose() @ RationalMatrix([row]) == expected
+            # the torus acts by conjugation with g = diag(c^-k), so the pair is fixed
+            for c in (Fraction(2), Fraction(-1, 3)):
+                g = RationalMatrix.diagonal([c**-k for k in range(n)])
+                g_inverse = RationalMatrix.diagonal([c**k for k in range(n)])
+                assert cstar_act(c, x, y) == (g @ x @ g_inverse, g @ y @ g_inverse)
+            pairs += 1
+    assert pairs == 78
+
+
 # -- polynomial helpers
 
 
@@ -662,6 +695,14 @@ def test_component_line_errors():
 def test_monomial_subspace_refuses_no_exponents():
     with pytest.raises(ValueError, match="need at least one exponent"):
         monomial_subspace([], 2)
+
+
+def test_monomial_subspace_refuses_repeated_exponents():
+    # [1, 1] would be a 4x2 "basis" of rank 1, which no profile exists for
+    with pytest.raises(ValueError, match="repeated exponent"):
+        monomial_subspace([1, 1], 4)
+    with pytest.raises(ValueError, match="repeated exponent"):
+        monomial_subspace((5, 3, 5), 6)
 
 
 def test_monomial_subspace_golden():
