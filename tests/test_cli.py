@@ -371,7 +371,7 @@ def test_nonnegative_tangent_weight_fails_the_sign_split(monkeypatch, weight):
 
 
 BAD_LIMITS = [
-    ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError),
+    ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"N": -3}, ValueError),
     ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
 ]
 
