@@ -3,11 +3,14 @@
 Everything here is computed over the rationals with no tolerances.  A
 RationalMatrix holds one integer form, a positive common denominator and
 integer rows sharing no factor with it, and every kernel reads and writes
-those integers: sums, scaling and transposes; products and the commutator
-through one integer product that skips the zeros of a sparse factor, so a
-diagonal factor costs O(n^2); one fraction-free (Bareiss) elimination on the
-content-reduced integer rows, whose pivot columns both matrix rank and the
-Schubert profile read; characteristic polynomials by division-free Berkowitz
+those integers: sums, scaling and transposes; products, one dot product per
+entry or, for an outer product, one scaled row per entry; the commutator
+YX - XY + Id entrywise, (d_i - d_j) x_ij off the diagonal, when one factor
+is the diagonal matrix (d_i), so the normal form costs O(n^2), and through
+two products otherwise; one fraction-free (Bareiss) elimination on the
+content-reduced integer rows, which drops each row once it is zero, and
+whose pivot columns both matrix rank and the Schubert profile read;
+characteristic polynomials by division-free Berkowitz
 on the integer matrix, whose step at a vanishing border row or column is one
 multiplication by a linear factor, so a triangular or diagonal matrix costs
 O(n^2); the normal form; and the Grassmannian embedding by
@@ -102,20 +105,20 @@ class RationalMatrix:
             g = gcd(den, *chain.from_iterable(rows))
             if g != 1:
                 den //= g
-                rows = tuple(tuple(v // g for v in row) for row in rows)
-        m = object.__new__(RationalMatrix)
-        m._hold(den, rows, None)
-        return m
+                rows = tuple([tuple([v // g for v in row]) for row in rows])
+        return object.__new__(RationalMatrix)._hold(den, rows, None)
 
     def _hold(self, den, ints, entries):
         """Set the slots from the reduced integer form: den, the nonempty
         tuple of equal-length integer tuples ints, and the Fraction rows
-        entries, or None to build them on first read."""
+        entries, or None to build them on first read; return the matrix.
+        Callers that already hold a reduced form build it here directly."""
         object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", len(ints[0]))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -141,9 +144,12 @@ class RationalMatrix:
 
     @staticmethod
     def _diagonal(d, a):
-        """The diagonal matrix with entries a_i / d, for a positive integer d."""
-        n = len(a)
-        return RationalMatrix._from_ints(d, [[a_i if i == j else 0 for j in range(n)] for i, a_i in enumerate(a)])
+        """The diagonal matrix with entries a_i / d, for a positive integer d
+        with gcd(d, a_1, ..., a_n) = 1: d and the integers a share no factor,
+        so (d, a) is already the reduced form, as _cleared returns it."""
+        zeros = (0,) * len(a)
+        ints = tuple(zeros[:i] + (a_i,) + zeros[i + 1 :] for i, a_i in enumerate(a))
+        return object.__new__(RationalMatrix)._hold(d, ints, None)
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self._den == other._den and self._ints == other._ints
@@ -180,7 +186,8 @@ class RationalMatrix:
         return RationalMatrix._from_ints(self._den * c.denominator, [[s * v for v in row] for row in self._ints])
 
     def transpose(self):
-        return RationalMatrix._from_ints(self._den, zip(*self._ints))
+        # the transpose of a reduced form is reduced
+        return object.__new__(RationalMatrix)._hold(self._den, tuple(zip(*self._ints)), None)
 
     def trace(self):
         if self.rows != self.cols:
@@ -194,27 +201,32 @@ class RationalMatrix:
 
         Column c is a pivot exactly when it is independent of the columns
         before it, so the list does not depend on which rows pivot, and
-        scaling a row keeps it.
+        scaling a row keeps it.  A row that is zero, at the start or after
+        an elimination step, can never pivot, so it is dropped: the pivot
+        rows and columns stay the same, and a rank-one matrix stops after
+        its first step.
         """
         m = []
         for row in self._ints:
             g = gcd(*row)
-            m.append([v // g for v in row] if g > 1 else list(row))
-        rows, cols = self.rows, self.cols
+            if g:
+                m.append([v // g for v in row] if g > 1 else list(row))
+        cols = self.cols
         pivots = []
         prev = 1
         for c in range(cols):
             r = len(pivots)
-            if r == rows:
+            if r == len(m):
                 break
-            pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
+            pivot = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
             if m[pivot][c] == 0:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, rows):
+            for i in range(r + 1, len(m)):
                 for j in range(c + 1, cols):
                     m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
                 m[i][c] = 0
+            m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
             prev = m[r][c]
             pivots.append(c)
         return pivots
@@ -258,38 +270,18 @@ class RationalMatrix:
         return tuple(Fraction(c, d ** j) for j, c in enumerate(poly))[::-1]
 
 
-def _row_combinations(a, b):
-    """Integer rows of a b, each row of the product summed from the rows of b
-    over the nonzero entries of the matching row of a."""
-    out = []
-    for row in a:
-        acc = None
-        for a_k, b_k in zip(row, b):
-            if a_k:
-                term = [a_k * v for v in b_k]
-                acc = term if acc is None else list(map(add, acc, term))
-        out.append(acc or [0] * len(b[0]))
-    return out
-
-
-def _sparse_rows(rows):
-    """Whether every row has at most a third of its entries nonzero."""
-    return all(3 * (len(row) - row.count(0)) <= len(row) for row in rows)
-
-
 def _int_product(a, b):
     """Integer rows of the product of the integer rows a (r x k) and b (k x m).
 
-    When every row of a factor is at most a third nonzero, the product skips
-    its zeros: rows of b combined over the nonzero entries of a, or, for b,
-    the same on the transposes, (b^t a^t)^t.  A diagonal factor then costs
-    O(n^2).  An outer product (k = 1) is the rows of b scaled.  Otherwise
-    every entry is one dot product of a row of a with a column of b.
+    An outer product (k = 1) is the one row of b scaled by each entry of a.
+    Otherwise every entry is one dot product of a row of a with a column of
+    b; zeros are not skipped.  The one caller with a sparse factor, the
+    commutator of a pair with a diagonal factor, builds its entries without
+    a product.
     """
-    if len(b) == 1 or _sparse_rows(a):
-        return _row_combinations(a, b)
-    if _sparse_rows(b):
-        return list(zip(*_row_combinations(list(zip(*b)), list(zip(*a)))))
+    if len(b) == 1:
+        (b_row,) = b
+        return [[a_k * v for v in b_row] for (a_k,) in a]
     columns = list(zip(*b))
     return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
@@ -446,17 +438,25 @@ def wilson_representative(point):
     X is built as integers over den, the least common multiple of the alphas'
     denominators and of each (a_i - a_j) / gcd(d, a_i - a_j), the reduced
     denominator of x_ij: its entries are den d / (a_i - a_j) and den alpha_i.
-    Y is built from the same d and a_i, without clearing y again."""
+    Being the least common multiple of the reduced denominators, den shares
+    no factor with all of those integers, so the form is held as built.  The
+    entries below the diagonal are divided out once and negated above it,
+    x_ji = -x_ij.  Y is built from the same d and a_i, without clearing y
+    again."""
     d, (a,) = _cleared([point.y])
     alpha = point.alpha
+    n = len(a)
     den = lcm(
         *(alpha_i.denominator for alpha_i in alpha),
-        *((a_i - a_j) // gcd(d, a_i - a_j) for i, a_i in enumerate(a) for a_j in a[:i]),
+        *[(a_i - a_j) // gcd(d, a_i - a_j) for i, a_i in enumerate(a) for a_j in a[:i]],
     )
-    alpha_ints = [alpha_i.numerator * (den // alpha_i.denominator) for alpha_i in alpha]
     dd = den * d
-    x_rows = [[alpha_ints[i] if i == j else dd // (a_i - a_j) for j, a_j in enumerate(a)] for i, a_i in enumerate(a)]
-    return RationalMatrix._from_ints(den, x_rows), RationalMatrix._diagonal(d, a)
+    x_rows = [[dd // (a_i - a_j) for a_j in a[:i]] for i, a_i in enumerate(a)]
+    for i, (row, alpha_i) in enumerate(zip(x_rows, alpha)):
+        row.append(alpha_i.numerator * (den // alpha_i.denominator))
+        row.extend([-x_rows[j][i] for j in range(i + 1, n)])
+    x = object.__new__(RationalMatrix)._hold(den, tuple(map(tuple, x_rows)), None)
+    return x, RationalMatrix._diagonal(d, a)
 
 
 def commutator_plus_identity(x, y):
@@ -466,20 +466,32 @@ def commutator_plus_identity(x, y):
     Y diagonal) this is the all-ones matrix, visibly of rank one, while the
     opposite order has full rank as soon as n is at least 3.  X and Y are
     held as the integer matrices dx X and dy Y, whose commutator is
-    dx dy (YX - XY).
+    dx dy (YX - XY).  When dy Y is the diagonal matrix (d_i), entry ij of
+    that commutator is (d_i - d_j) x_ij, read off the integer rows of X with
+    no product; when dx X is diagonal, the same holds with the rows of Y and
+    the signs of the d_i flipped.  Any other pair takes the two products.
     """
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
     scale = x._den * y._den
-    yx = _int_product(y._ints, x._ints)
-    xy = _int_product(x._ints, y._ints)
-    return RationalMatrix._from_ints(
-        scale,
-        [
-            [u - v + (scale if i == j else 0) for j, (u, v) in enumerate(zip(yx_row, xy_row))]
-            for i, (yx_row, xy_row) in enumerate(zip(yx, xy))
-        ],
-    )
+    if _is_diagonal(y._ints):
+        d, other = [row[i] for i, row in enumerate(y._ints)], x._ints
+    elif _is_diagonal(x._ints):
+        d, other = [-row[i] for i, row in enumerate(x._ints)], y._ints
+    else:
+        d = None
+    if d is None:
+        m = [list(map(sub, u, v)) for u, v in zip(_int_product(y._ints, x._ints), _int_product(x._ints, y._ints))]
+    else:
+        m = [[(d_i - d_j) * v for d_j, v in zip(d, row)] for d_i, row in zip(d, other)]
+    for i, row in enumerate(m):
+        row[i] += scale
+    return RationalMatrix._from_ints(scale, m)
+
+
+def _is_diagonal(ints):
+    """Whether the square integer rows are zero off the diagonal."""
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(ints))
 
 
 def verify_cm(x, y):

@@ -261,33 +261,29 @@ def test_commutators_match_fraction_schoolbook(grids):
     )
 
 
-def test_products_skip_the_zeros_of_a_sparse_factor(monkeypatch):
+def test_commutator_of_a_diagonal_factor_takes_no_product(monkeypatch):
     calls = []
-    combine = cm._row_combinations
+    product = cm._int_product
 
     def spy(a, b):
-        calls.append((tuple(map(tuple, a)), tuple(map(tuple, b))))
-        return combine(a, b)
+        calls.append((a, b))
+        return product(a, b)
 
-    monkeypatch.setattr(cm, "_row_combinations", spy)
+    monkeypatch.setattr(cm, "_int_product", spy)
     rng = random.Random(2018)
-    dense = RationalMatrix([[rng.randint(1, 9) for _ in range(5)] for _ in range(5)])
-    diagonal = RationalMatrix.diagonal([2, -1, 3, 5, 7])
-    assert (dense @ dense).entries == tuple(map(tuple, _schoolbook(dense.entries, dense.entries)))
-    assert calls == []
-    for left, right in ((diagonal, dense), (dense, diagonal)):
-        assert (left @ right).entries == tuple(map(tuple, _schoolbook(left.entries, right.entries)))
-    # the diagonal left factor directly, the diagonal right factor through the transposes
-    assert calls == [(diagonal._ints, dense._ints), (diagonal._ints, tuple(zip(*dense._ints)))]
-    calls.clear()
     x, y = wilson_representative(_seeded_point(rng, 6))
-    commutator_plus_identity(x, y)
-    commutator_plus_identity(*involution(x, y))
-    assert len(calls) == 4 and all(a == y._ints for a, _ in calls)
-    # an outer product scales the rows of its right factor
+    dense = RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)] for _ in range(6)])
+    # Y diagonal in the normal form, X diagonal after the involution: both entrywise
+    for pair in ((x, y), involution(x, y)):
+        _same_matrix(commutator_plus_identity(*pair), _schoolbook_commutator(pair[0].entries, pair[1].entries))
+    assert calls == []
+    # no diagonal factor: the two products YX and XY
+    _same_matrix(commutator_plus_identity(x, dense), _schoolbook_commutator(x.entries, dense.entries))
+    assert calls == [(dense._ints, x._ints), (x._ints, dense._ints)]
+    # an outer product scales the row of its right factor
     calls.clear()
     column, row = RationalMatrix([[1, -2, 3]]).transpose(), RationalMatrix([[4, 5, Fraction(1, 6)]])
-    assert (column @ row).entries == tuple(map(tuple, _schoolbook(column.entries, row.entries)))
+    _same_matrix(column @ row, _schoolbook(column.entries, row.entries))
     assert calls == [(column._ints, row._ints)]
 
 
@@ -357,6 +353,20 @@ def test_pivot_columns_match_fraction_elimination():
     subspace = wilson_embed(_seeded_point(rng, 12)).subspace
     spread = subspace @ RationalMatrix.diagonal([Fraction(5 ** (3 * j), 7 ** (10 * j)) for j in range(12)])
     shapes = _pivot_shapes(rng)
+    # rows that are zero from the start or become zero after a step: rank-one
+    # outer products (a zero entry of the column makes a zero row between
+    # nonzero rows), all ones, duplicated rows around a zero row, and zero
+    for rows, cols in ((1, 4), (4, 1), (5, 5), (7, 3), (3, 7)):
+        column = [Fraction(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(rows)]
+        column[rows // 2] = 0
+        row = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols)]
+        shapes.append(RationalMatrix([[u * v for v in row] for u in column]))
+    shapes += [RationalMatrix(e) for e in (
+        [[1] * 5 for _ in range(4)],
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+        [[0, 2, -1], [0, 2, -1], [0, 0, 0], [3, 1, 1], [0, -4, 2], [3, 1, 1]],
+        [[0] * 4 for _ in range(3)],
+    )]
     shapes += [_with_large_contents(a) for a in shapes if a.rows > 1] + [spread.transpose()]
     skipped = 0
     for a in shapes + embedded:
@@ -1052,8 +1062,9 @@ def test_normal_form_matches_fraction_differences():
     for n in (1, 2, 3, 7, 12, 20):
         point = _seeded_point(rng, n)
         x, y = wilson_representative(point)
-        assert x.entries == _fraction_normal_form(point)
-        assert y == RationalMatrix.diagonal(point.y)
+        # both forms are held without a gcd pass: they must already be the reduced ones
+        _same_matrix(x, _fraction_normal_form(point))
+        _same_matrix(y, [[y_i if i == j else 0 for j in range(n)] for i, y_i in enumerate(point.y)])
 
 
 @settings(deadline=None, max_examples=40)
