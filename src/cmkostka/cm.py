@@ -16,14 +16,17 @@ multiplication by a linear factor, so a triangular or diagonal matrix costs
 O(n^2); the normal form; and the Grassmannian embedding by
 explicit congruence solving at each eigenvalue, over the common denominator
 of the eigenvalues.  Fraction entries are built only when a caller reads
-them.  An embedded point holds one form, its ideal and its basis columns
-each cleared to integers over its own denominator; its subspace matrix is
-built on first read.  One incremental row echelon modulo the prime 2^61 - 1
-serves two certificates, since rank can only drop modulo a prime: the
-embedded columns' full rank, and the big cell n^n of a Schubert profile
-(the top n x n block nonsingular).  Exact elimination decides only when a
-certificate fails.  Entries and scalars must be Fraction or int; anything
-else raises TypeError rather than being coerced.
+them.  A matrix and an embedded point each have one builder, their _hold,
+the one place that checks the type's invariants.  An embedded point holds
+one form, its ideal and its basis columns each cleared to integers over its
+own denominator; its subspace matrix is built on first read over the least
+common multiple of those denominators, a form that is already reduced.  One
+incremental row echelon modulo the prime 2^61 - 1 serves two certificates,
+since rank can only drop modulo a prime: the embedded columns' full rank,
+and the big cell n^n of a Schubert profile (the top n x n block
+nonsingular).  Exact elimination decides only when a certificate fails.
+Entries and scalars must be Fraction or int; anything else raises TypeError
+rather than being coerced.
 """
 
 from fractions import Fraction
@@ -82,13 +85,8 @@ class RationalMatrix:
 
     def __init__(self, entries):
         entries = tuple(tuple(_frac(x) for x in row) for row in entries)
-        if not entries:
-            raise ValueError("matrix needs at least one row")
-        cols = len(entries[0])
-        if any(len(row) != cols for row in entries):
+        if len(set(map(len, entries))) > 1:
             raise ValueError("ragged rows")
-        if not cols:
-            raise ValueError("matrix needs at least one column")
         # the least common denominator of reduced fractions shares no factor
         # with all of the cleared numerators, so this form is already reduced
         den, ints = _cleared(entries)
@@ -97,10 +95,8 @@ class RationalMatrix:
     @staticmethod
     def _from_ints(den, rows):
         """The matrix with entries rows[i][j] / den for a positive integer den,
-        rows a nonempty iterable of equal-length integer rows."""
+        rows an iterable of equal-length integer rows."""
         rows = tuple(map(tuple, rows))
-        if not rows:
-            raise ValueError("matrix needs at least one row")
         if den != 1:
             g = gcd(den, *chain.from_iterable(rows))
             if g != 1:
@@ -109,10 +105,16 @@ class RationalMatrix:
         return object.__new__(RationalMatrix)._hold(den, rows, None)
 
     def _hold(self, den, ints, entries):
-        """Set the slots from the reduced integer form: den, the nonempty
-        tuple of equal-length integer tuples ints, and the Fraction rows
-        entries, or None to build them on first read; return the matrix.
-        Callers that already hold a reduced form build it here directly."""
+        """Set the slots from the reduced integer form: den, the tuple of
+        equal-length integer tuples ints, and the Fraction rows entries, or
+        None to build them on first read; return the matrix.  Every matrix
+        is built here, and here alone its shape is checked: at least one row
+        and one column.  Callers that already hold a reduced form call it
+        directly."""
+        if not ints:
+            raise ValueError("matrix needs at least one row")
+        if not ints[0]:
+            raise ValueError("matrix needs at least one column")
         object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", len(ints[0]))
         object.__setattr__(self, "_den", den)
@@ -369,7 +371,8 @@ class EmbeddedPoint:
     The point holds one form: the ideal, its coefficients cleared to
     integers, and each basis column cleared to integers over its own common
     denominator, with those denominators.  The subspace matrix is built over
-    their least common multiple on first read and kept.
+    their least common multiple on first read and kept.  Both the public
+    constructor and wilson_embed build the point through _hold.
     """
 
     __slots__ = ("ideal", "_ideal_ints", "_columns", "_dens", "_subspace")
@@ -385,18 +388,13 @@ class EmbeddedPoint:
         den = subspace._den
         self._hold(ideal, ideal_ints, [(den, column) for column in zip(*subspace._ints)], subspace)
 
-    @staticmethod
-    def _from_columns(ideal, ideal_ints, columns):
-        """The point whose basis columns are the integer columns over their
-        denominators, given as (denominator, column) pairs, for an ideal whose
-        coefficients are proportional to the integers ideal_ints."""
-        point = object.__new__(EmbeddedPoint)
-        point._hold(ideal, ideal_ints, columns, None)
-        return point
-
     def _hold(self, ideal, ideal_ints, columns, subspace):
-        """Reduce each (denominator, column) pair by its gcd, check the
-        columns' full rank, and set the slots."""
+        """Set the slots and return the point: the ideal, integers ideal_ints
+        proportional to its coefficients, the basis columns given as
+        (denominator, integer column) pairs, each reduced here by its gcd,
+        and the subspace matrix, or None to build it on first read.  Every
+        point is built here, and here alone the columns' full rank is
+        checked."""
         reduced, dens = [], []
         for den, column in columns:
             g = gcd(den, *column)
@@ -410,6 +408,7 @@ class EmbeddedPoint:
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_subspace", subspace)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedPoint is immutable")
@@ -420,13 +419,20 @@ class EmbeddedPoint:
 
     @property
     def subspace(self):
-        """The basis as one matrix, columns in the monomial basis."""
+        """The basis as one matrix, columns in the monomial basis.
+
+        Column j is held as integers over its own denominator d_j, sharing no
+        factor with it, so the matrix over L = lcm(d_j), column j scaled by
+        L / d_j, is already reduced and is held as built.  Were a prime p to
+        divide L and every entry, take a j where p has its full power in
+        d_j: L / d_j is prime to p, so p would divide all of column j and
+        d_j, which contradicts column j being reduced.
+        """
         subspace = self._subspace
         if subspace is None:
             den = lcm(*self._dens)
-            subspace = RationalMatrix._from_ints(
-                den, zip(*([v * (den // d) for v in column] for column, d in zip(self._columns, self._dens)))
-            )
+            ints = zip(*([v * (den // d) for v in column] for column, d in zip(self._columns, self._dens)))
+            subspace = object.__new__(RationalMatrix)._hold(den, tuple(ints), None)
             object.__setattr__(self, "_subspace", subspace)
         return subspace
 
@@ -627,7 +633,7 @@ def wilson_embed(point):
         columns.append((big_a * big_a * dt, [h_k * d_k for h_k, d_k in zip(h, d_powers)]))
     ideal = tuple(Fraction(q_k, d_powers[n - k]) for k, q_k in enumerate(q))
     ideal_ints = [q_k * d_k for q_k, d_k in zip(q, d_powers)]
-    return EmbeddedPoint._from_columns(ideal, ideal_ints, columns)
+    return object.__new__(EmbeddedPoint)._hold(ideal, ideal_ints, columns, None)
 
 
 def component_line(point, y_i):

@@ -219,13 +219,18 @@ def _corner_removal_count(parts):
     return sum(_corner_removal_count(mu.parts) for mu in Partition(parts).shrink())
 
 
-def syt_enumerate(lam, max_size=10):
+# the largest shape syt_enumerate counts, equal to tableau-count-oracle's cap
+_SYT_ENUMERATION_BOUND = 10
+
+
+def syt_enumerate(lam):
     """Count standard tableaux by recursive corner removal.
 
-    Independent of the hook formula; refuses shapes larger than max_size.
+    Independent of the hook formula; refuses shapes of more than
+    _SYT_ENUMERATION_BOUND cells.
     """
-    if lam.size > operator.index(max_size):
-        raise BoundExceeded(f"shape of size {lam.size} exceeds enumeration bound {max_size}")
+    if lam.size > _SYT_ENUMERATION_BOUND:
+        raise BoundExceeded(f"shape of size {lam.size} exceeds enumeration bound {_SYT_ENUMERATION_BOUND}")
     return _corner_removal_count(lam.parts)
 
 
@@ -283,7 +288,11 @@ def _compositions(n, slots):
 
 
 def enumerate_gamma_partitions(N, n):
-    """All N-tuples of partitions with total size n, each exactly once."""
+    """All N-tuples of partitions with total size n, each exactly once.
+
+    N and n must be ints (TypeError otherwise), N positive and n nonnegative.
+    """
+    N, n = operator.index(N), operator.index(n)
     if N < 1:
         raise ValueError("N must be positive")
     if n < 0:

@@ -11,6 +11,7 @@ and the q-multinomials are each built once, in bounded caches read only
 after operator.index has validated the arguments.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,9 @@ class NonExactDivision(ArithmeticError):
 # loop: below it, packing and unpacking the Kronecker integers costs more
 # than the loop saves.
 _SCHOOLBOOK_TERMS = 8
+
+# str(k) for an int k: no sign on zero, no leading zeros, ASCII digits only
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class LaurentPoly:
@@ -190,7 +194,17 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_dict(data):
-        return LaurentPoly({int(e): int(c) for e, c in data.items()})
+        """The polynomial to_json_dict wrote: each exponent and coefficient
+        must be a decimal string as str writes an int; anything else, a
+        float or "2.7" among them, raises TypeError rather than truncating."""
+        return LaurentPoly({_decimal(e): _decimal(c) for e, c in data.items()})
+
+
+def _decimal(text):
+    """The int whose decimal string, as str writes it, is text."""
+    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+        raise TypeError(f"expected a decimal integer string, got {type(text).__name__} {text!r}")
+    return int(text)
 
 
 def _kronecker_mul(a, a_min, b, b_min, span):

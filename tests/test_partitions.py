@@ -1,5 +1,6 @@
 """Partition container, hooks, tableau counting, and the text grammar."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -133,17 +134,18 @@ def test_syt_count_golden_values():
 def test_syt_enumerate_matches_hook_formula():
     for n in range(9):
         for lam in enumerate_partitions(n):
-            assert syt_enumerate(lam, max_size=8) == syt_count(lam)
+            assert syt_enumerate(lam) == syt_count(lam)
 
 
 def test_syt_enumerate_refuses_large_shapes():
-    with pytest.raises(BoundExceeded):
-        syt_enumerate(Partition((6, 5)), max_size=10)
+    with pytest.raises(BoundExceeded, match="^shape of size 11 exceeds enumeration bound 10$"):
+        syt_enumerate(Partition((6, 5)))
+    assert syt_enumerate(Partition((5, 5))) == syt_count(Partition((5, 5)))
 
 
-def test_syt_enumerate_refuses_an_inexact_bound():
+def test_syt_enumerate_takes_no_bound():
     with pytest.raises(TypeError):
-        syt_enumerate(Partition((2,)), max_size=2.5)
+        syt_enumerate(Partition((2,)), max_size=10)
 
 
 def test_standard_tableaux_listing_and_major_index():
@@ -215,6 +217,10 @@ def test_gamma_enumeration_first_and_last():
     assert str(tuples[0]) == "2;-"
     assert str(tuples[-1]) == "-;1,1"
     assert len(set(tuples)) == len(tuples)
+    # N and n are counts: anything but an int is refused, not coerced
+    for N, n in ((2.0, 2), (Fraction(2), 2), (2, 2.0), (2, Fraction(2)), ("2", 2)):
+        with pytest.raises(TypeError):
+            enumerate_gamma_partitions(N, n)
 
 
 def test_enumeration_is_strictly_decreasing():

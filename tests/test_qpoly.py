@@ -266,6 +266,25 @@ def test_json_dict_round_trip_and_order():
     assert list(data.keys()) == ["-2", "0", "3"]
     assert data == {"-2": "-7", "0": "1", "3": "5"}
     assert LaurentPoly.from_json_dict(json.loads(json.dumps(data))) == p
+    assert LaurentPoly.from_json_dict({"0": "0", "-1": "-12"}) == LaurentPoly({-1: -12})
+    # only the decimal strings to_json_dict writes are read: no number is
+    # truncated and no other spelling of an int is accepted
+    for bad in (
+        {"0": 2.7},
+        {"0": 2},
+        {1.9: "3"},
+        {1: "3"},
+        {"0": "2.7"},
+        {"0": " 3"},
+        {"0": "+3"},
+        {"0": "03"},
+        {"-0": "3"},
+        {"0": "1_000"},
+        {"0": "\u0663"},
+        {"0": None},
+    ):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json_dict(bad)
 
 
 def test_exact_divide_golden():

@@ -89,6 +89,10 @@ def test_multiplicity_identity_check_enforces_bounds():
         multiplicity_identity_check(5, 2)
     with pytest.raises(ValueError):
         multiplicity_identity_check(2, 7)
+    # within the bounds, a count that is not an int is refused, not coerced
+    for N, n in ((2.0, 3), (2, 3.0)):
+        with pytest.raises(TypeError):
+            multiplicity_identity_check(N, n)
 
 
 def test_wreath_single_component_matches_plain():
