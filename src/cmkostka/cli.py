@@ -62,36 +62,25 @@ def _one_or_all(entries, single):
     return entries[0] if single else entries
 
 
-# Largest batches kostka, character, schur-p1n and wreath accept, sized when
-# character --n 20 took 2.3 s and character --N 4 --n 10 took 3.3 s.  In a fresh
-# process on a 2-CPU box (median of 5) they now take 0.54 s and 0.87 s, and
-# 0.77 s and 2.4 s with --json.
+# Largest batches kostka, character, schur-p1n and wreath accept.  Every label
+# of a batch is computed and rendered, and the label count grows fast in n and
+# N, so the caps bound how long one command can run.
 _MAX_BATCH_n = 20
 _MAX_BATCH_N, _MAX_BATCH_WREATH_n = 4, 10
-
-
-def _check_batch(N, n):
-    """Refuse a batch above the caps before any label is enumerated."""
-    if N is None:
-        if n > _MAX_BATCH_n:
-            raise BoundExceeded(f"--n {n} exceeds the batch cap n <= {_MAX_BATCH_n}")
-    elif N > _MAX_BATCH_N or n > _MAX_BATCH_WREATH_n:
-        raise BoundExceeded(
-            f"--N {N} --n {n} exceeds the wreath batch caps N <= {_MAX_BATCH_N}, n <= {_MAX_BATCH_WREATH_n}"
-        )
 
 
 def _labels_for(args, capped=False):
     """Resolve --partition/--gamma-partition/--n [--N] into (labels, single).
 
+    The one resolver of kostka, character, tangent, schur-p1n and wreath.
     single is true when one label was named rather than an --n batch, which
     renders as a batch even when it holds one label.  --N is a usage error
     with --partition, and with --gamma-partition unless it equals the label's
     component count.  With capped, an --n batch above the caps is refused
-    before it is enumerated.
+    before any label is enumerated; tangent alone runs uncapped.
     """
     N = getattr(args, "N", None)
-    if args.partition is not None:
+    if getattr(args, "partition", None) is not None:
         if N is not None:
             raise ValueError("--N does not apply to --partition")
         return [parse_partition(args.partition)], True
@@ -100,11 +89,15 @@ def _labels_for(args, capped=False):
         if N is not None and N != label.N:
             raise ValueError(f"--N {N} but {label} has {label.N} components")
         return [label], True
-    if capped:
-        _check_batch(N, args.n)
-    if N is not None:
-        return list(enumerate_gamma_partitions(N, args.n)), False
-    return list(enumerate_partitions(args.n)), False
+    if N is None:
+        if capped and args.n > _MAX_BATCH_n:
+            raise BoundExceeded(f"--n {args.n} exceeds the batch cap n <= {_MAX_BATCH_n}")
+        return list(enumerate_partitions(args.n)), False
+    if capped and (N > _MAX_BATCH_N or args.n > _MAX_BATCH_WREATH_n):
+        raise BoundExceeded(
+            f"--N {N} --n {args.n} exceeds the wreath batch caps N <= {_MAX_BATCH_N}, n <= {_MAX_BATCH_WREATH_n}"
+        )
+    return list(enumerate_gamma_partitions(N, args.n)), False
 
 
 def _cmd_kostka(args):
@@ -152,14 +145,9 @@ def _cmd_tangent(args):
 
 
 def _cmd_schur_p1n(args):
-    _check_batch(args.N, args.n)
-    if args.N is None:
-        expansion = expand_p1n(args.n)
-        order = enumerate_partitions(args.n)
-    else:
-        expansion = expand_p1n_wreath(args.N, args.n)
-        order = enumerate_gamma_partitions(args.N, args.n)
-    rows = [(label, expansion.coefficients.get(label, 0)) for label in order]
+    labels, _ = _labels_for(args, capped=True)
+    expansion = expand_p1n(args.n) if args.N is None else expand_p1n_wreath(args.N, args.n)
+    rows = [(label, expansion.coefficients.get(label, 0)) for label in labels]
     return (
         lambda: [{"lambda": str(label), "m": str(m)} for label, m in rows],
         (f"{label}: {m}" for label, m in rows),
@@ -168,8 +156,7 @@ def _cmd_schur_p1n(args):
 
 
 def _cmd_wreath(args):
-    _check_batch(args.N, args.n)
-    labels = enumerate_gamma_partitions(args.N, args.n)
+    labels, _ = _labels_for(args, capped=True)
     rows = [(gp, kostka_wreath(gp), gamma_dimension(gp)) for gp in labels]
     total = sum(dim * dim for _, _, dim in rows)
     order = args.N**args.n * factorial(args.n)
@@ -273,13 +260,6 @@ def _command(sub, name, handler, help):
     return parser
 
 
-# (name, handler, help) of the matrix-pair commands, spelled both cm-<name> and cm <name>.
-_CM_COMMANDS = (
-    ("verify", _cmd_cm_verify, "rank-one check of the normal form built from y, alpha"),
-    ("embed", _cmd_cm_embed, "ideal and subspace basis of the embedded point"),
-)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cmkostka",
@@ -298,12 +278,8 @@ def build_parser():
     p.add_argument("--N", type=_positive, required=True)
     p.add_argument("--n", type=_positive, required=True)
 
-    for name, handler, help in _CM_COMMANDS:
-        _add_cm_flags(_command(sub, f"cm-{name}", handler, help))
-    cm = sub.add_parser("cm", help="matrix-pair commands (verify, embed)")
-    cm_sub = cm.add_subparsers(dest="cm_command", required=True)
-    for name, handler, help in _CM_COMMANDS:
-        _add_cm_flags(_command(cm_sub, name, handler, help))
+    _add_cm_flags(_command(sub, "cm-verify", _cmd_cm_verify, "rank-one check of the normal form built from y, alpha"))
+    _add_cm_flags(_command(sub, "cm-embed", _cmd_cm_embed, "ideal and subspace basis of the embedded point"))
 
     p = _command(sub, "verify-all", _cmd_verify_all, "run every registered invariant check")
     p.add_argument("--n", type=_positive, help="cap on partition sizes and matrix ranks")
@@ -311,9 +287,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-hook-corruption", action="store_true", help=argparse.SUPPRESS)
 
-    for p in [*sub.choices.values(), *cm_sub.choices.values()]:
-        if p is not cm:
-            p.add_argument("--json", action="store_true")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -465,6 +465,12 @@ def wilson_representative(point):
     return x, RationalMatrix._diagonal(d, a)
 
 
+def _check_pair(x, y):
+    """Refuse a matrix pair unless both are square of one size."""
+    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
+        raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
+
+
 def commutator_plus_identity(x, y):
     """YX - XY + Id, the matrix whose rank-one condition cuts out the space.
 
@@ -477,8 +483,7 @@ def commutator_plus_identity(x, y):
     no product; when dx X is diagonal, the same holds with the rows of Y and
     the signs of the d_i flipped.  Any other pair takes the two products.
     """
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
+    _check_pair(x, y)
     scale = x._den * y._den
     if _is_diagonal(y._ints):
         d, other = [row[i] for i, row in enumerate(y._ints)], x._ints
@@ -524,18 +529,19 @@ def cstar_act(c, x, y):
     c = _frac(c)
     if c == 0:
         raise ZeroScalar("torus scalars must be nonzero")
+    _check_pair(x, y)
     return x.scaled(1 / c), y.scaled(c)
 
 
 def involution(x, y):
     """Swap the pair through transposition: (X, Y) -> (Y^t, X^t)."""
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise DimensionMismatch(f"need equal square matrices, got {x.rows}x{x.cols} and {y.rows}x{y.cols}")
+    _check_pair(x, y)
     return y.transpose(), x.transpose()
 
 
 def projections(x, y):
     """Characteristic polynomials of X and Y, each as low-to-high coefficients."""
+    _check_pair(x, y)
     return x.charpoly(), y.charpoly()
 
 

@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
+from .qpoly import _DECIMAL
+
 
 class BoundExceeded(ValueError):
     """Raised when an enumeration is asked to run past its configured size cap."""
@@ -301,17 +303,20 @@ def enumerate_gamma_partitions(N, n):
 
 
 def parse_partition(text):
-    """Parse comma-separated decreasing parts, e.g. "3,1,1"; "-" or "" is the empty partition."""
+    """Parse comma-separated decreasing parts, e.g. "3,1,1"; "-" or "" is the empty partition.
+
+    Each part, less the spaces around it, must be written as str writes an
+    int: "03", "+3", "1_0" and non-ASCII digits are refused, not reread.
+    """
     stripped = text.strip()
     if stripped in ("", "-"):
         return Partition(())
     parts = []
     pos = 0
     for token in stripped.split(","):
-        try:
-            value = int(token)
-        except ValueError:
-            raise PartitionParseError(f"expected an integer part, got {token!r}", pos) from None
+        if not _DECIMAL.fullmatch(token.strip()):
+            raise PartitionParseError(f"expected an integer part, got {token!r}", pos)
+        value = int(token)
         if value < 1:
             raise PartitionParseError(f"parts must be positive, got {value}", pos)
         if parts and parts[-1] < value:

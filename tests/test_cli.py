@@ -110,6 +110,9 @@ def _refuse_enumeration(*args):
         (["character", "--N", "4", "--n", "11"], ["character", "--N", "4", "--n", "10"]),
         (["wreath", "--N", "5", "--n", "1"], ["wreath", "--N", "4", "--n", "1"]),
         (["wreath", "--N", "4", "--n", "11"], ["wreath", "--N", "4", "--n", "10"]),
+        (["schur-p1n", "--n", "21"], ["schur-p1n", "--n", "20"]),
+        (["schur-p1n", "--N", "5", "--n", "1"], ["schur-p1n", "--N", "4", "--n", "1"]),
+        (["schur-p1n", "--N", "4", "--n", "11"], ["schur-p1n", "--N", "4", "--n", "10"]),
     ],
 )
 def test_batch_caps_refuse_before_enumerating(capsys, monkeypatch, argv, at_cap):
@@ -188,11 +191,14 @@ def test_cm_verify_text(capsys):
     assert "witness column: 1 1" in out
 
 
-def test_cm_verify_nested_alias_matches(capsys):
-    _, flat, _ = run_cli(capsys, "cm-verify", "--y", "0,1,2", "--alpha", "1/2,0,3", "--json")
-    _, nested, _ = run_cli(capsys, "cm", "verify", "--y", "0,1,2", "--alpha", "1/2,0,3", "--json")
-    assert flat == nested
-    data = json.loads(flat)
+def test_cm_commands_have_one_spelling(capsys):
+    for name in ("verify", "embed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cm", name, "--y", "0,1,2", "--alpha", "1/2,0,3"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+    code, out, _ = run_cli(capsys, "cm-verify", "--y", "0,1,2", "--alpha", "1/2,0,3", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert data["verified"] is True
     assert all(value == "1" for row in data["commutator_plus_identity"] for value in row)
 
@@ -439,8 +445,8 @@ def test_large_product_batches_are_pinned(capsys, argv, digest):
 
 
 # SHA-256 of exit status, stdout and stderr for every command in text and
-# --json, single label and batch, both cm spellings, usage errors and cap
-# refusals: any change to any rendering shows here.
+# --json, single label and batch, usage errors and cap refusals: any change
+# to any rendering shows here.
 CLI_DIGESTS = [
     ("kostka --partition 3,1", "498f1b4590dda9921f4d20ae1a13194cbb113db4703f2371e3105b2e274b47e8"),
     ("kostka --partition 3,1 --json", "42ec67a9ebc4bedbea29fccd5312edd46f67fbd04b2cf479f6cbb71da8fce40a"),
@@ -507,27 +513,11 @@ CLI_DIGESTS = [
         "9734f81f1c325854ab316b867986c9a1931c61c90266ea0f27f008e5493fc524",
     ),
     (
-        "cm verify --y 0,1,5/2 --alpha 1/2,0,3",
-        "e8bbefaf31ed4c608572063ea795297fd237ba2a0b615b7fee6dc35bca02d0ab",
-    ),
-    (
-        "cm verify --y 0,1,5/2 --alpha 1/2,0,3 --json",
-        "9734f81f1c325854ab316b867986c9a1931c61c90266ea0f27f008e5493fc524",
-    ),
-    (
         "cm-embed --y 0,1,5/2 --alpha 1/2,0,3",
         "4127637bb6c395887938afd884d04af693628fb473c369196465e8aa45f4d5cf",
     ),
     (
         "cm-embed --y 0,1,5/2 --alpha 1/2,0,3 --json",
-        "fde178cd71d3f98ff8039b76071b9ca46924eb3da6a14bf71e2e94eff500a1eb",
-    ),
-    (
-        "cm embed --y 0,1,5/2 --alpha 1/2,0,3",
-        "4127637bb6c395887938afd884d04af693628fb473c369196465e8aa45f4d5cf",
-    ),
-    (
-        "cm embed --y 0,1,5/2 --alpha 1/2,0,3 --json",
         "fde178cd71d3f98ff8039b76071b9ca46924eb3da6a14bf71e2e94eff500a1eb",
     ),
     ("kostka --partition 2,0", "9631dc7b955240456c93aee62640491ce47201308a887cd2650f1911706f0fc0"),
@@ -558,8 +548,8 @@ CLI_DIGESTS = [
         "cm-verify --y 0,0 --alpha 1,2 --json",
         "fce6a5382458e7ea0820b67b5a95d6b410547fb2bcd32babc1c77ab5157238de",
     ),
-    ("cm embed --y 0,1 --alpha 1", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
-    ("cm embed --y 0,1 --alpha 1 --json", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
+    ("cm-embed --y 0,1 --alpha 1", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
+    ("cm-embed --y 0,1 --alpha 1 --json", "253c9abf1cdcb0e43b8fb2d2703e80c172695b681d9a45a305398ecf74064184"),
 ]
 
 

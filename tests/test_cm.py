@@ -531,6 +531,13 @@ def test_cstar_action():
     assert xn.entries == x.scaled(-1).entries and yn.entries == y.scaled(-1).entries
     with pytest.raises(ZeroScalar):
         cstar_act(0, x, y)
+    with pytest.raises(DimensionMismatch, match="need equal square matrices, got 1x2 and 3x3"):
+        cstar_act(2, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
+    # the scalar is checked before the shapes
+    with pytest.raises(TypeError):
+        cstar_act(1.5, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
+    with pytest.raises(ZeroScalar):
+        cstar_act(0, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
 
 
 def test_involution_golden_and_preservation():
@@ -550,6 +557,8 @@ def test_projections_golden():
     assert char_x == (1, 0, 1)
     assert char_y == (0, -1, 1)
     assert char_y == poly_from_roots([0, 1])
+    with pytest.raises(DimensionMismatch, match="need equal square matrices, got 2x2 and 3x3"):
+        projections(x, RationalMatrix.identity(3))
 
 
 def _hook_fixed_pair(n, l):

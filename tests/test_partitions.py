@@ -266,6 +266,26 @@ def test_parse_partition_errors_carry_position():
     with pytest.raises(PartitionParseError) as err:
         parse_partition("2,0")
     assert err.value.position == 2
+    for text in ("2,0", "2,-1"):
+        with pytest.raises(PartitionParseError, match="parts must be positive"):
+            parse_partition(text)
+    # text that int() would reread as another number is refused at its part
+    for text, position, token in [
+        ("1_0", 0, "1_0"),
+        ("+3,1", 0, "+3"),
+        ("\u0663,\u0661", 0, "\u0663"),
+        ("03", 0, "03"),
+        ("3, 02", 2, " 02"),
+        ("-0", 0, "-0"),
+    ]:
+        with pytest.raises(PartitionParseError) as err:
+            parse_partition(text)
+        assert (err.value.reason, err.value.position) == (f"expected an integer part, got {token!r}", position)
+    with pytest.raises(PartitionParseError) as err:
+        parse_gamma_partition("2,1;-;+1")
+    assert (err.value.reason, err.value.position) == ("expected an integer part, got '+1'", 6)
+    for text, parts in [(" 4,2 ", (4, 2)), ("3, 1", (3, 1)), ("-", ()), ("", ())]:
+        assert parse_partition(text).parts == parts
 
 
 def test_parse_errors_carry_their_reason():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cmkostka.cli import main
+from cmkostka.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
@@ -38,6 +38,12 @@ def test_python_block_prints_what_its_comments_say():
 def test_every_transcript_is_collected():
     assert len(TRANSCRIPTS) == 10
     assert all(command.startswith("cmkostka ") for command, _ in TRANSCRIPTS)
+
+
+def test_every_command_has_a_transcript():
+    # the subcommand choices argparse prints, e.g. "{kostka,character,...}"
+    (choices,) = re.findall(r"\{([^}]*)\}", build_parser().format_usage())
+    assert set(choices.split(",")) == {command.split()[1] for command, _ in TRANSCRIPTS}
 
 
 @pytest.mark.parametrize("command, expected", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])
