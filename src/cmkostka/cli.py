@@ -13,6 +13,7 @@ returns the code; a ``ValueError`` becomes ``error: ...`` on stderr and exit 2.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -28,28 +29,35 @@ from .partitions import (
     parse_gamma_partition,
     parse_partition,
 )
-from .qpoly import evaluate_at_one
+from .qpoly import _DECIMAL, evaluate_at_one
 from .schur import expand_p1n, expand_p1n_wreath
 from .verify import run_checks
 
 
+# Integer and rational flag values are read only in the form str writes them:
+# "03", "+3", "1_0", "1.5", "1e2" and non-ASCII digits are refused, not reread.
+_RATIONAL = re.compile(rf"(?:{_DECIMAL.pattern})(?:/[1-9][0-9]*)?")
+
+
+def _integer(text):
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
+    return int(text)
+
+
 def _positive(text):
-    value = int(text)
-    if value < 1:
+    if not _DECIMAL.fullmatch(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return int(text)
 
 
 def _rational_list(text):
     values = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            values.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(
-                f"expected rationals as p/q or integers, got {token!r}"
-            ) from None
+        if not _RATIONAL.fullmatch(token):
+            raise argparse.ArgumentTypeError(f"expected rationals as p/q or integers, got {token!r}")
+        values.append(Fraction(token))
     return values
 
 
@@ -284,7 +292,7 @@ def build_parser():
     p = _command(sub, "verify-all", _cmd_verify_all, "run every registered invariant check")
     p.add_argument("--n", type=_positive, help="cap on partition sizes and matrix ranks")
     p.add_argument("--N", type=_positive, help="cap on component counts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--inject-hook-corruption", action="store_true", help=argparse.SUPPRESS)
 
     for p in sub.choices.values():

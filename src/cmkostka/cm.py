@@ -346,7 +346,8 @@ class CMPointRegular:
             raise ValueError(f"{len(y)} eigenvalues but {len(alpha)} parameters")
         if not y:
             raise ValueError("need at least one point")
-        if len(set(y)) != len(y):
+        # reduced fractions are equal exactly when their (numerator, denominator) pairs are
+        if len({(v.numerator, v.denominator) for v in y}) != len(y):
             raise DuplicateEigenvalue(f"eigenvalues must be pairwise distinct: {[str(v) for v in y]}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "alpha", alpha)

@@ -4,6 +4,15 @@ Partitions are stored with parts in weakly decreasing order.  The
 torus-weight formulas elsewhere in this package want the same data as a
 weakly increasing sequence padded with zeros to a fixed length; use
 ``Partition.padded_increasing`` for that view.
+
+Each label type has one builder, its ``_hold``, which only sets the slots.
+The public constructors check outside input and then call it; producers
+whose parts come from a label that is already valid (``grow``, ``shrink``,
+``conjugate``, the enumerators, ``permuted`` and ``with_component``) call it
+directly.  The partitions of n, the wreath labels of (N, n) and the hook
+multiset of each parts tuple are each built once, in bounded caches keyed
+on those plain values, never on a label; the enumerators return a fresh
+list on every call.
 """
 
 import operator
@@ -46,8 +55,14 @@ class Partition:
                 raise ValueError(f"parts must be positive, got {p} in {parts}")
             if i > 0 and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        self._hold(parts)
+
+    def _hold(self, parts):
+        """Set the slots from parts, a weakly decreasing tuple of positive
+        ints, unchecked; return the partition."""
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "size", sum(parts))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -78,13 +93,7 @@ class Partition:
 
     def conjugate(self):
         """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(cols)
+        return _new_partition(_conjugate_parts(self.parts))
 
     def hook(self, row, col):
         """Hook length of the cell: arm + leg + 1."""
@@ -106,23 +115,38 @@ class Partition:
 
     def grow(self):
         """Partitions obtained by adding one cell (successors in Young's lattice)."""
+        parts = self.parts
         out = []
-        for r in range(len(self.parts)):
-            if r == 0 or self.parts[r - 1] > self.parts[r]:
-                out.append(Partition(self.parts[:r] + (self.parts[r] + 1,) + self.parts[r + 1:]))
-        out.append(Partition(self.parts + (1,)))
+        for r in range(len(parts)):
+            if r == 0 or parts[r - 1] > parts[r]:
+                out.append(_new_partition(parts[:r] + (parts[r] + 1,) + parts[r + 1:]))
+        out.append(_new_partition(parts + (1,)))
         return out
 
     def shrink(self):
         """Partitions obtained by removing one corner cell."""
+        parts = self.parts
         out = []
-        for r in range(len(self.parts)):
-            if r == len(self.parts) - 1 or self.parts[r] > self.parts[r + 1]:
-                if self.parts[r] == 1:
-                    out.append(Partition(self.parts[:r] + self.parts[r + 1:]))
+        for r in range(len(parts)):
+            if r == len(parts) - 1 or parts[r] > parts[r + 1]:
+                if parts[r] == 1:
+                    out.append(_new_partition(parts[:r] + parts[r + 1:]))
                 else:
-                    out.append(Partition(self.parts[:r] + (self.parts[r] - 1,) + self.parts[r + 1:]))
+                    out.append(_new_partition(parts[:r] + (parts[r] - 1,) + parts[r + 1:]))
         return out
+
+
+def _new_partition(parts):
+    """The Partition over parts, a weakly decreasing tuple of positive ints, unchecked."""
+    return object.__new__(Partition)._hold(parts)
+
+
+def _conjugate_parts(parts):
+    cols = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for c in range(p):
+            cols[c] += 1
+    return tuple(cols)
 
 
 class GammaPartition:
@@ -137,7 +161,13 @@ class GammaPartition:
         for c in components:
             if not isinstance(c, Partition):
                 raise TypeError(f"components must be Partition, got {type(c).__name__}")
+        self._hold(components)
+
+    def _hold(self, components):
+        """Set the slot from components, a nonempty tuple of Partitions,
+        unchecked; return the label."""
         object.__setattr__(self, "components", components)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaPartition is immutable")
@@ -166,14 +196,21 @@ class GammaPartition:
         """The label with component slot index, 0 <= index < N, replaced by part."""
         if not 0 <= index < self.N:
             raise ValueError(f"slot {index} is outside the {self.N} component slots")
-        return GammaPartition(self.components[:index] + (part,) + self.components[index + 1:])
+        if not isinstance(part, Partition):
+            raise TypeError(f"components must be Partition, got {type(part).__name__}")
+        return _new_gamma(self.components[:index] + (part,) + self.components[index + 1:])
 
     def permuted(self, perm):
         """Reindex the component slots by perm, a permutation of range(N):
         slot i of the result is component perm[i]."""
         if sorted(perm) != list(range(self.N)):
             raise ValueError(f"{perm} is not a permutation of the {self.N} component slots")
-        return GammaPartition(tuple(self.components[i] for i in perm))
+        return _new_gamma(tuple(self.components[i] for i in perm))
+
+
+def _new_gamma(components):
+    """The GammaPartition over components, a nonempty tuple of Partitions, unchecked."""
+    return object.__new__(GammaPartition)._hold(components)
 
 
 def _partition_tuples(n, largest):
@@ -187,25 +224,29 @@ def _partition_tuples(n, largest):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _partitions_of(n):
-    return tuple(Partition(t) for t in _partition_tuples(n, n))
+    return tuple(map(_new_partition, _partition_tuples(n, n)))
 
 
 def enumerate_partitions(n):
-    """All partitions of n in reverse-lexicographic order."""
+    """All partitions of n in reverse-lexicographic order; n must be an int."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return list(_partitions_of(n))
 
 
-@lru_cache(maxsize=4096)
 def hook_lengths(lam):
     """Multiset of hook lengths of the diagram, as a decreasing tuple."""
+    return _hook_lengths(lam.parts)
+
+
+@lru_cache(maxsize=4096)
+def _hook_lengths(parts):
     # one pass from the conjugate: h(r, c) = lam_r - c + lam'_c - r - 1
-    columns = lam.conjugate().parts
-    return tuple(sorted((p - c + columns[c] - r - 1 for r, p in enumerate(lam.parts) for c in range(p)),
-                        reverse=True))
+    columns = _conjugate_parts(parts)
+    return tuple(sorted((p - c + columns[c] - r - 1 for r, p in enumerate(parts) for c in range(p)), reverse=True))
 
 
 def syt_count(lam):
@@ -218,7 +259,7 @@ def syt_count(lam):
 def _corner_removal_count(parts):
     if not parts:
         return 1
-    return sum(_corner_removal_count(mu.parts) for mu in Partition(parts).shrink())
+    return sum(_corner_removal_count(mu.parts) for mu in _new_partition(parts).shrink())
 
 
 # the largest shape syt_enumerate counts, equal to tableau-count-oracle's cap
@@ -299,7 +340,12 @@ def enumerate_gamma_partitions(N, n):
         raise ValueError("N must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [GammaPartition(t) for comp in _compositions(n, N) for t in product(*map(_partitions_of, comp))]
+    return list(_gamma_partitions_of(N, n))
+
+
+@lru_cache(maxsize=64)
+def _gamma_partitions_of(N, n):
+    return tuple(_new_gamma(t) for comp in _compositions(n, N) for t in product(*map(_partitions_of, comp)))
 
 
 def parse_partition(text):

@@ -3,9 +3,14 @@
 The expansion is computed by iterated Pieri steps, i.e. by counting paths in
 Young's lattice (or in a product of N copies of it), which keeps the hook
 length formula available as an independent oracle for the coefficients.
+Each level of path counts is built once, from the level below it, and kept
+in a bounded cache keyed on (N, n); every expansion holds a fresh copy of
+its level, so a caller may change its coefficients freely.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from .characters import kostka_wreath
@@ -30,24 +35,32 @@ class SchurExpansion:
         return sum(m * m for m in self.coefficients.values())
 
 
-def _pieri_expansion(start, successors, n):
-    """Apply n Pieri steps to the label start, adding up the coefficient of each successor."""
-    coeffs = {start: 1}
-    for _ in range(n):
-        nxt = {}
-        get = nxt.get
-        for label, m in coeffs.items():
-            for mu in successors(label):
-                nxt[mu] = get(mu, 0) + m
-        coeffs = nxt
-    return SchurExpansion(n, coeffs)
+def _wreath_successors(gp):
+    return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
+
+
+@lru_cache(maxsize=128)
+def _pieri_level(N, n):
+    """Level n of Pieri steps from the empty label: each label of size n with
+    its number of paths.  N is None for partitions, else the component count
+    of the wreath labels.  Shared between calls, so never handed out."""
+    if n == 0:
+        return {Partition(()) if N is None else GammaPartition((Partition(()),) * N): 1}
+    successors = Partition.grow if N is None else _wreath_successors
+    level = {}
+    get = level.get
+    for label, m in _pieri_level(N, n - 1).items():
+        for mu in successors(label):
+            level[mu] = get(mu, 0) + m
+    return level
 
 
 def expand_p1n(n):
     """Expand the n-th power of p_1 over Schur functions by iterated Pieri steps."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
-    return _pieri_expansion(Partition(()), Partition.grow, n)
+    return SchurExpansion(n, dict(_pieri_level(None, n)))
 
 
 def expand_p1n_wreath(N, n):
@@ -55,15 +68,12 @@ def expand_p1n_wreath(N, n):
 
     Each Pieri step adds one cell to one of the N components.
     """
+    N, n = operator.index(N), operator.index(n)
     if N < 1:
         raise ValueError("N must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-
-    def successors(gp):
-        return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
-
-    return _pieri_expansion(GammaPartition((Partition(()),) * N), successors, n)
+    return SchurExpansion(n, dict(_pieri_level(N, n)))
 
 
 _MAX_N, _MAX_n = 4, 6  # largest N and n that multiplicity_identity_check accepts

@@ -334,13 +334,17 @@ def _y_label(point):
 
 
 def _random_points(rng, count, max_n):
+    # every value the ranges allow is built once, then drawn by the same rng calls
+    low = -4 * max_n - 4
+    numerators = range(low, 4 * max_n + 5)
+    ys = {den: [Fraction(v, den) for v in numerators] for den in (1, 2, 3)}
+    alphas = {(v, den): Fraction(v, den) for v in range(-9, 10) for den in (1, 2, 3)}
     points = []
     for _ in range(count):
         n = rng.randint(1, max_n)
-        den = rng.choice((1, 2, 3))
-        numerators = rng.sample(range(-4 * max_n - 4, 4 * max_n + 5), n)
-        y = [Fraction(v, den) for v in numerators]
-        alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+        row = ys[rng.choice((1, 2, 3))]
+        y = [row[v - low] for v in rng.sample(numerators, n)]
+        alpha = [alphas[rng.randint(-9, 9), rng.choice((1, 2, 3))] for _ in range(n)]
         points.append(CMPointRegular(y, alpha))
     return points
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmkostka import characters, qpoly
+from cmkostka import characters, qpoly, schur
+from cmkostka import partitions as partitions_module
 from cmkostka.characters import (
     character,
     completion_character_check,
@@ -135,7 +136,7 @@ def test_memoised_kostka_matches_fresh_quotient(cache):
     if cache == "cold":
         characters._hook_quotient.cache_clear()
         characters._hook_character.cache_clear()
-        hook_lengths.cache_clear()
+        partitions_module._hook_lengths.cache_clear()
     else:
         for label, _ in _memo_labels():
             character(label)
@@ -181,7 +182,8 @@ def test_characters_are_shared_per_hook_multiset():
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, characters._hook_character, hook_lengths,
+    for cached in (characters._hook_quotient, characters._hook_character, partitions_module._hook_lengths,
+                   partitions_module._partitions_of, partitions_module._gamma_partitions_of, schur._pieri_level,
                    qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
 

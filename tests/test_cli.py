@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -208,9 +210,44 @@ def test_cm_verify_usage_errors(capsys):
     assert code == 2 and "distinct" in err
     code, _, err = run_cli(capsys, "cm-verify", "--y", "0,1", "--alpha", "1")
     assert code == 2
+    for bad in ("zz", "1_0", "\u0663", "03", "+3", "-0", "1.5", "1e2", "1/0", "1/-2", "1/02", "1 /2"):
+        for flag in ("--y", "--alpha"):
+            values = {"--y": "0,5", "--alpha": "1,2", flag: f"0,{bad}"}
+            with pytest.raises(SystemExit) as exc:
+                main(["cm-verify", *chain.from_iterable(values.items())])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"expected rationals as p/q or integers, got {bad!r}" in captured.err
+    # spaces around a token are stripped; p/q and integers are the accepted forms
+    code, out, _ = run_cli(capsys, "cm-verify", "--y", " 0, 5/2 ", "--alpha=-1/3,2")
+    assert code == 0 and out.startswith("n: 2\nverified: true\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent", "--n", "1_0"],
+    ["tangent", "--n", "+3"],
+    ["tangent", "--n", "\u0663"],
+    ["tangent", "--n", "03"],
+    ["kostka", "--N", "02", "--n", "2"],
+    ["wreath", "--N", "+2", "--n", "2"],
+    ["verify-all", "--n", "1_0"],
+    ["verify-all", "--seed", "1_0"],
+    ["verify-all", "--seed", "+3"],
+    ["verify-all", "--seed", "\u0663"],
+    ["verify-all", "--seed", "03"],
+    ["verify-all", "--seed", "-0"],
+])
+def test_integer_flags_take_only_the_form_str_writes(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["cm-verify", "--y", "0,zz", "--alpha", "1,2"])
+        main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_still_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify-all", "--n", "2", "--N", "1", "--seed", "-3", "--json")
+    assert code == 0 and json.loads(out)["seed"] == "-3"
 
 
 def test_cm_embed_json_round_trip(capsys):
@@ -368,6 +405,27 @@ def test_rank_one_witness_that_does_not_factor_fails(monkeypatch):
     assert result.detail.endswith(": witness does not factor the matrix")
 
 
+def _points_built_at_each_draw(rng, count, max_n):
+    """Reference sampler: the same rng calls, each Fraction built where it is drawn."""
+    points = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        den = rng.choice((1, 2, 3))
+        numerators = rng.sample(range(-4 * max_n - 4, 4 * max_n + 5), n)
+        alpha = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+        points.append(([Fraction(v, den) for v in numerators], alpha))
+    return points
+
+
+def test_sampler_draws_the_reference_points():
+    for seed in range(4):
+        for max_n in (1, 5, 12):
+            rng, reference = random.Random(seed), random.Random(seed)
+            got = [(list(p.y), list(p.alpha)) for p in verify._random_points(rng, 40, max_n)]
+            assert got == _points_built_at_each_draw(reference, 40, max_n)
+            assert rng.random() == reference.random()
+
+
 @pytest.mark.parametrize("weight", [0, 2])
 def test_nonnegative_tangent_weight_fails_the_sign_split(monkeypatch, weight):
     monkeypatch.setattr(verify, "tangent_weights", lambda lam: (-1, weight))
@@ -434,6 +492,14 @@ LARGE_PRODUCT_STDOUT_SHA256 = [
     (("character", "--n", "12"), "96d59c11ebd65f4ce55f78c550fdd4452917b619d9c5a4ae3f32f68776d1ed8f"),
     (("character", "--N", "3", "--n", "6"), "5e3d49cf5087b4eb836097a1c1670ca12d8859d89545a6302d436f515cf1386a"),
     (("kostka", "--n", "14"), "84b3c28f1a31ff814c7ecae3386bbab8835c82237a3bc0ccd64c6d2daac5959f"),
+    # the largest Pieri levels and wreath label lists the batch caps allow
+    (("schur-p1n", "--n", "20"), "642dfef3c009ce5fff22d8a89f60da88268fa9418334a784bd3dcd9f71aa78bd"),
+    (("schur-p1n", "--N", "4", "--n", "10"), "d272a08c98ff28ead2935455c58fd218675015bada766769802eb0ab3f70a873"),
+    (
+        ("schur-p1n", "--N", "4", "--n", "10", "--json"),
+        "b0a79dcce9d559c1d1864091dcf57e2b7e1d6c3251ff15e1f201392b645bf68d",
+    ),
+    (("wreath", "--N", "4", "--n", "10"), "1281a887aea87d6391451cda2eaf59e66101169e93101ae77416c934bad89aa7"),
 ]
 
 

@@ -448,6 +448,9 @@ def test_inexact_inputs_are_rejected_not_coerced():
 def test_point_validation():
     with pytest.raises(DuplicateEigenvalue):
         CMPointRegular([0, 0], [1, 2])
+    for y in ((Fraction(2, 4), Fraction(1, 2)), (1, Fraction(1)), (True, 1)):
+        with pytest.raises(DuplicateEigenvalue):
+            CMPointRegular(y, [0, 0])
     with pytest.raises(ValueError):
         CMPointRegular([0, 1], [1])
     with pytest.raises(ValueError):

@@ -85,6 +85,10 @@ def test_partition_is_immutable_and_hashable():
 def test_enumeration_order_for_four():
     got = [lam.parts for lam in enumerate_partitions(4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    # n is a count: with 4 in the cache, 4.0 is still refused, not read as 4
+    for n in (4.0, Fraction(4), "4"):
+        with pytest.raises(TypeError):
+            enumerate_partitions(n)
 
 
 def test_enumeration_counts_match_pentagonal_recurrence():
@@ -198,6 +202,52 @@ def test_with_component_replaces_one_valid_slot():
     for index in (-1, 3, 5, -4):
         with pytest.raises(ValueError, match="outside the 3 component slots"):
             three.with_component(index, Partition((3,)))
+
+
+def test_with_component_refuses_a_part_that_is_not_a_partition():
+    three = GammaPartition((Partition((1,)), Partition((2,)), Partition(())))
+    with pytest.raises(TypeError, match="components must be Partition"):
+        three.with_component(0, (2, 1))
+
+
+def _assert_same_partition(lam):
+    checked = Partition(lam.parts)
+    assert lam == checked and hash(lam) == hash(checked) and lam.size == checked.size
+    assert type(lam.parts) is tuple
+
+
+def _assert_same_gamma(gp):
+    checked = GammaPartition(tuple(Partition(c.parts) for c in gp.components))
+    assert gp == checked and hash(gp) == hash(checked) and gp.size == checked.size
+    for component in gp.components:
+        _assert_same_partition(component)
+
+
+def test_trusted_producers_match_the_checking_constructors():
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            _assert_same_partition(lam)
+            _assert_same_partition(lam.conjugate())
+            for mu in lam.grow() + lam.shrink():
+                _assert_same_partition(mu)
+    for N in (1, 2, 3):
+        for n in range(7):
+            for gp in enumerate_gamma_partitions(N, n):
+                _assert_same_gamma(gp)
+                _assert_same_gamma(gp.permuted(tuple(reversed(range(N)))))
+                for chi, component in enumerate(gp.components):
+                    for mu in component.grow():
+                        _assert_same_gamma(gp.with_component(chi, mu))
+
+
+def test_enumerations_hand_out_fresh_lists():
+    first = enumerate_gamma_partitions(2, 3)
+    expected = list(first)
+    first.clear()
+    assert enumerate_gamma_partitions(2, 3) == expected
+    plain = enumerate_partitions(4)
+    plain.pop()
+    assert len(enumerate_partitions(4)) == 5
 
 
 def test_gamma_enumeration_count_via_convolution():

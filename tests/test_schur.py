@@ -6,12 +6,63 @@ from math import factorial
 import pytest
 
 from cmkostka.partitions import (
+    GammaPartition,
     Partition,
     enumerate_gamma_partitions,
     enumerate_partitions,
     syt_count,
 )
 from cmkostka.schur import expand_p1n, expand_p1n_wreath, multiplicity_identity_check
+
+
+def _pieri_expansion(start, successors, n):
+    """Reference: apply n Pieri steps to the label start, with no level shared between calls."""
+    coeffs = {start: 1}
+    for _ in range(n):
+        nxt = {}
+        get = nxt.get
+        for label, m in coeffs.items():
+            for mu in successors(label):
+                nxt[mu] = get(mu, 0) + m
+        coeffs = nxt
+    return coeffs
+
+
+def _wreath_successors(gp):
+    return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
+
+
+def test_expansions_match_the_step_by_step_reference():
+    for n in range(1, 9):
+        assert expand_p1n(n).coefficients == _pieri_expansion(Partition(()), Partition.grow, n)
+    for N, top in ((1, 5), (2, 5), (3, 5), (4, 4)):
+        start = GammaPartition((Partition(()),) * N)
+        for n in range(1, top + 1):
+            assert expand_p1n_wreath(N, n).coefficients == _pieri_expansion(start, _wreath_successors, n)
+
+
+def test_expansions_hand_out_fresh_coefficients():
+    for expand, args in ((expand_p1n, (4,)), (expand_p1n_wreath, (2, 3))):
+        first = expand(*args)
+        expected = dict(first.coefficients)
+        for label in list(first.coefficients):
+            first.coefficients[label] += 7
+        first.coefficients.clear()
+        assert expand(*args).coefficients == expected
+    # a lower level is shared by the next one up, and its copies stay untouched too
+    expand_p1n(5).coefficients.clear()
+    assert expand_p1n(6).sum_of_squares() == factorial(6)
+
+
+def test_expansion_counts_are_ints():
+    for N in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            expand_p1n_wreath(N, 2)
+    for n in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            expand_p1n(n)
+        with pytest.raises(TypeError):
+            expand_p1n_wreath(2, n)
 
 
 def test_expand_three_golden():
