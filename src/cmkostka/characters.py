@@ -3,15 +3,20 @@
 The normalization used throughout: K has constant term 1, and the weight of
 the line spanned by z^a under the contracting torus action is -a.
 
-The hook formula sees only a label's size and hook multiset, so the Kostka
-polynomial and the zero-fiber character K(q) K(1/q) are each built once per
-(size, sorted hooks) and kept in a bounded cache.  Callers therefore receive
-shared results: conjugate partitions and wreath labels that differ only in
-slot order get the same LaurentPoly objects, which are immutable.
+The hook formula sees only a label's size and hook multiset, so everything
+here is built once per (size, hooks) key, the hooks a decreasing tuple, in
+bounded caches: the Kostka polynomial in one, and in a second one payload of
+Kostka polynomial, zero-fiber character K(q) K(1/q) and dimension K(1).
+Callers therefore receive shared results: conjugate partitions and wreath
+labels that differ only in slot order get the same LaurentPoly objects,
+which are immutable.  A diagram and its transpose also share one entry of
+the hook cache in partitions, so the second of a conjugate pair computes no
+hooks.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .partitions import GammaPartition, Partition, hook_lengths
 from .qpoly import (
@@ -24,12 +29,13 @@ from .qpoly import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterReport:
     """Kostka polynomial, fiber character, and dimension for one label.
 
     The character is kostka times its image under q -> 1/q, hence palindromic,
-    and its value at q = 1 is the square of the dimension.
+    and its value at q = 1 is the square of the dimension.  Frozen and
+    slotted: a report has no __dict__ and takes no weak references.
     """
 
     label: object  # Partition or GammaPartition
@@ -39,18 +45,18 @@ class CharacterReport:
 
 
 def _hook_key(label):
-    """(size, sorted hook multiset): all the hook formula sees of a label.
+    """(size, hook multiset as a decreasing tuple): all the hook formula sees
+    of a label.
 
-    The hooks are those of the cells of a Partition, or of every component
-    of a GammaPartition; anything else raises TypeError.
+    The hooks are those of the cells of a Partition, as hook_lengths returns
+    them, or of every component of a GammaPartition, merged in the same
+    order; anything else raises TypeError.
     """
     if isinstance(label, Partition):
-        hooks = hook_lengths(label)
-    elif isinstance(label, GammaPartition):
-        hooks = [h for comp in label.components for h in hook_lengths(comp)]
-    else:
-        raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
-    return label.size, tuple(sorted(hooks))
+        return label.size, hook_lengths(label)
+    if isinstance(label, GammaPartition):
+        return label.size, tuple(sorted(chain.from_iterable(map(hook_lengths, label.components)), reverse=True))
+    raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
 @lru_cache(maxsize=4096)
@@ -60,8 +66,9 @@ def _hook_quotient(n, hooks):
 
 @lru_cache(maxsize=4096)
 def _hook_character(n, hooks):
+    # (kostka, character, dimension): the fields of a report after its label
     k = _hook_quotient(n, hooks)
-    return k * substitute_inverse(k)
+    return k, k * substitute_inverse(k), evaluate_at_one(k)
 
 
 def kostka(label):
@@ -81,13 +88,12 @@ def kostka_wreath(gp):
 def character(label):
     """Zero-fiber character report for a Partition or GammaPartition label.
 
-    The Kostka polynomial and the character are memoised per size and hook
-    multiset in bounded caches, so labels sharing a multiset (conjugates,
+    One hook lookup, one cache read and one report: the Kostka polynomial,
+    the character and the dimension are held together per size and hook
+    multiset in a bounded cache, so labels sharing a multiset (conjugates,
     slot-permuted wreath labels) receive the same immutable objects.
     """
-    key = _hook_key(label)
-    k = _hook_quotient(*key)
-    return CharacterReport(label=label, kostka=k, character=_hook_character(*key), dimension=evaluate_at_one(k))
+    return CharacterReport(label, *_hook_character(*_hook_key(label)))
 
 
 def fixed_point_exponents(lam):

@@ -11,8 +11,8 @@ whose parts come from a label that is already valid (``grow``, ``shrink``,
 ``conjugate``, the enumerators, ``permuted`` and ``with_component``) call it
 directly.  The partitions of n, the wreath labels of (N, n) and the hook
 multiset of each parts tuple are each built once, in bounded caches keyed
-on those plain values, never on a label; the enumerators return a fresh
-list on every call.
+on those plain values, never on a label; a diagram and its transpose share
+one hook computation.  The enumerators return a fresh list on every call.
 """
 
 import operator
@@ -66,6 +66,10 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return Partition, (self.parts,)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -172,6 +176,9 @@ class GammaPartition:
     def __setattr__(self, name, value):
         raise AttributeError("GammaPartition is immutable")
 
+    def __reduce__(self):
+        return GammaPartition, (self.components,)
+
     @property
     def N(self):
         return len(self.components)
@@ -244,8 +251,14 @@ def hook_lengths(lam):
 
 @lru_cache(maxsize=4096)
 def _hook_lengths(parts):
-    # one pass from the conjugate: h(r, c) = lam_r - c + lam'_c - r - 1
+    # A diagram and its transpose have one hook multiset, computed once from
+    # the larger of the two parts tuples: the smaller reads the larger's
+    # entry, so whichever of a conjugate pair comes second finds it cached.
+    # A self-conjugate shape takes the direct path.  One pass from the
+    # conjugate: h(r, c) = lam_r - c + lam'_c - r - 1.
     columns = _conjugate_parts(parts)
+    if columns > parts:
+        return _hook_lengths(columns)
     return tuple(sorted((p - c + columns[c] - r - 1 for r, p in enumerate(parts) for c in range(p)), reverse=True))
 
 

@@ -64,6 +64,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return LaurentPoly, (self.coeffs,)
+
     @staticmethod
     def zero():
         return LaurentPoly()

@@ -1,5 +1,8 @@
 """Kostka polynomials, fiber characters, and fixed-point weight data."""
 
+import dataclasses
+import pickle
+import weakref
 from collections import Counter
 from math import factorial, prod
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from cmkostka import characters, qpoly, schur
 from cmkostka import partitions as partitions_module
 from cmkostka.characters import (
+    CharacterReport,
     character,
     completion_character_check,
     fixed_point_exponents,
@@ -22,6 +26,7 @@ from cmkostka.partitions import (
     Partition,
     enumerate_gamma_partitions,
     enumerate_partitions,
+    gamma_dimension,
     hook_lengths,
     major_index,
     standard_tableaux,
@@ -179,6 +184,44 @@ def test_characters_are_shared_per_hook_multiset():
         assert report.kostka is shared.kostka and report.character is shared.character
     # every report in first is alive, so distinct keys show as distinct ids
     assert len({id(report.character) for report in first.values()}) == len(first)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_report_dimension_matches_the_tableau_oracle(cache):
+    # every character-table label: the dimension against syt_count or
+    # gamma_dimension, which never read the cached value at one
+    labels = [lam for n in range(15) for lam in enumerate_partitions(n)]
+    labels += [gp for n in range(7) for gp in enumerate_gamma_partitions(3, n)]
+    if cache == "cold":
+        characters._hook_quotient.cache_clear()
+        characters._hook_character.cache_clear()
+        partitions_module._hook_lengths.cache_clear()
+    else:
+        for label in labels:
+            character(label)
+    for label in labels:
+        report = character(label)
+        expected = syt_count(label) if isinstance(label, Partition) else gamma_dimension(label)
+        assert report.dimension == expected
+        assert report.kostka is kostka(label)
+
+
+def test_character_report_is_a_frozen_slotted_dataclass():
+    report = character(Partition((3, 1)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.dimension = 4
+    bumped = dataclasses.replace(report, dimension=4)
+    assert bumped.dimension == 4 and bumped.kostka is report.kostka and report.dimension == 3
+    by_keyword = CharacterReport(
+        label=report.label, kostka=report.kostka, character=report.character, dimension=report.dimension
+    )
+    by_position = CharacterReport(report.label, report.kostka, report.character, report.dimension)
+    assert by_keyword == by_position == report
+    assert hash(by_keyword) == hash(by_position) == hash(report)
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(report)
 
 
 def test_caches_are_bounded():

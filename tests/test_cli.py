@@ -12,7 +12,7 @@ from itertools import chain
 
 import pytest
 
-from cmkostka import cli, verify
+from cmkostka import cli, partitions, verify
 from cmkostka.cli import main
 
 
@@ -424,6 +424,27 @@ def test_sampler_draws_the_reference_points():
             got = [(list(p.y), list(p.alpha)) for p in verify._random_points(rng, 40, max_n)]
             assert got == _points_built_at_each_draw(reference, 40, max_n)
             assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("wrong", [(3, 3, 1, 1), (3, 2, 2, 1)])
+def test_conjugation_checks_fail_when_a_conjugate_pair_shares_wrong_hooks(monkeypatch, wrong):
+    # Both wrong multisets have the right count and sum, and each is given to
+    # 3,1 and its transpose 2,1,1 alike, so comparing two hook_lengths results
+    # would pass.  (3, 3, 1, 1) has no Kostka polynomial, so the Kostka check
+    # crashes; (3, 2, 2, 1) is the multiset of 2,2, so it compares.
+    real = partitions._hook_lengths
+    pair = ((3, 1), (2, 1, 1))
+    monkeypatch.setattr(partitions, "_hook_lengths", lambda parts: wrong if parts in pair else real(parts))
+    names = ["hook-count-and-sum", "hook-conjugation-invariance", "kostka-conjugation-invariance"]
+    counts, hooks, kostkas = verify.run_checks(names=names)
+    assert (counts.passed, counts.items) == (True, 139)
+    assert (hooks.passed, hooks.items) == (False, 9)
+    assert hooks.detail == f"lambda=3,1: hooks {wrong} != conjugate hooks (4, 2, 1, 1)"
+    assert not kostkas.passed
+    if wrong == (3, 2, 2, 1):
+        assert (kostkas.items, kostkas.detail) == (9, "lambda=3,1: polynomial differs from conjugate's")
+    else:
+        assert kostkas.detail.startswith("raised NonExactDivision")
 
 
 @pytest.mark.parametrize("weight", [0, 2])

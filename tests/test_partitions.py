@@ -1,5 +1,7 @@
 """Partition container, hooks, tableau counting, and the text grammar."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmkostka import partitions as partitions_module
 from cmkostka.partitions import (
     BoundExceeded,
     Cell,
@@ -372,13 +375,22 @@ def test_conjugate_is_an_involution(lam):
     assert lam.conjugate().conjugate() == lam
 
 
+def test_labels_survive_pickle_and_deepcopy():
+    for label in (Partition(()), Partition((3, 1, 1)), GammaPartition((Partition((2, 1)), Partition(())))):
+        for copied in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
+            assert copied == label and type(copied) is type(label)
+
+
+def _per_cell_hooks(lam):
+    return tuple(sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True))
+
+
 def test_hook_lengths_match_per_cell_hooks():
     # hook_lengths reads every hook off the conjugate in one pass;
     # Partition.hook counts each arm and leg on its own
     for n in range(13):
         for lam in enumerate_partitions(n):
-            per_cell = sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True)
-            assert hook_lengths(lam) == tuple(per_cell)
+            assert hook_lengths(lam) == _per_cell_hooks(lam)
 
 
 @given(partitions())
@@ -397,4 +409,23 @@ def test_conjugate_weighted_size_from_binomials(lam):
 @settings(deadline=None)
 @given(partitions(max_size=8))
 def test_hooks_invariant_under_conjugation(lam):
-    assert hook_lengths(lam) == hook_lengths(lam.conjugate())
+    # hook_lengths serves a diagram and its transpose from one cache entry,
+    # so the transpose's side is read cell by cell through Partition.hook
+    assert hook_lengths(lam) == _per_cell_hooks(lam.conjugate())
+
+
+def test_hook_cache_serves_a_conjugate_pair_in_either_order():
+    # from a cold cache, whichever of lambda and its transpose comes second
+    # reads the hooks computed for the first: one hit in either order; a
+    # self-conjugate shape takes the direct path, one miss and one hit
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            mu = lam.conjugate()
+            expected = _per_cell_hooks(lam)
+            for first, second in ((mu, lam), (lam, mu)):
+                partitions_module._hook_lengths.cache_clear()
+                assert hook_lengths(first) == expected
+                assert hook_lengths(second) == expected
+                info = partitions_module._hook_lengths.cache_info()
+                assert info.hits == 1
+                assert info.misses == (1 if mu == lam else 2)

@@ -1,6 +1,8 @@
 """Laurent polynomial ring, exact division, and the canonical renderings."""
 
+import copy
 import json
+import pickle
 import time
 from fractions import Fraction
 from math import prod
@@ -46,6 +48,12 @@ def test_immutability():
     p = LaurentPoly.one()
     with pytest.raises(AttributeError):
         p.coeffs = {}
+
+
+@given(laurent_polys)
+def test_pickle_and_deepcopy_round_trip(a):
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert copied == a and copied.coeffs is not a.coeffs
 
 
 def test_addition_cancels():
