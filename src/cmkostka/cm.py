@@ -18,13 +18,15 @@ explicit congruence solving at each eigenvalue, over the common denominator
 of the eigenvalues.  Fraction entries are built only when a caller reads
 them.  A matrix and an embedded point each have one builder, their _hold,
 the one place that checks the type's invariants.  An embedded point holds
-one form, its ideal and its basis columns each cleared to integers over its
-own denominator; its subspace matrix is built on first read over the least
-common multiple of those denominators, a form that is already reduced.  One
-incremental row echelon modulo the prime 2^61 - 1 serves two certificates,
+its ideal and its basis columns as integer polynomials in w = s z, for a
+positive integer scale s, each column over its own denominator; a Wilson
+embedding takes s = D, so every root of its ideal is an integer in w, and
+its subspace matrix in z is built on first read, in the reduced form.  One
+incremental row echelon modulo the prime 2^30 - 35 serves two certificates,
 since rank can only drop modulo a prime: the embedded columns' full rank,
 and the big cell n^n of a Schubert profile (the top n x n block
-nonsingular).  Exact elimination decides only when a certificate fails.
+nonsingular); below 2^30, every residue is one CPython digit.  Exact
+elimination decides only when a certificate fails.
 Entries and scalars must be Fraction or int; anything else raises TypeError
 rather than being coerced.
 """
@@ -53,7 +55,7 @@ class NotInAnyCell(RuntimeError):
     """No flag-intersection profile exists: the basis columns are dependent."""
 
 
-_PRIME = 2**61 - 1
+_PRIME = 2**30 - 35  # the largest prime below 2^30
 
 
 def _frac(x):
@@ -369,14 +371,18 @@ class EmbeddedPoint:
     an n-dimensional subspace of the 2n-dimensional quotient, columns in the
     monomial basis 1, z, ..., z^(2n-1).
 
-    The point holds one form: the ideal, its coefficients cleared to
-    integers, and each basis column cleared to integers over its own common
-    denominator, with those denominators.  The subspace matrix is built over
-    their least common multiple on first read and kept.  Both the public
-    constructor and wilson_embed build the point through _hold.
+    The point is held in the coordinate w = s z, for a positive integer
+    scale s: integers ideal_ints proportional to the coefficients of
+    s^n I(w / s), I the ideal, and each basis column as integers h_k over
+    its own denominator d, sharing no factor with it, so that the column's
+    z^k coefficient is h_k s^k / d.  wilson_embed takes s = D, the common
+    denominator of the eigenvalues, so that every root of its ideal is an
+    integer in w; the public constructor takes s = 1.  The subspace matrix
+    in z is built on first read and kept.  Both the public constructor and
+    wilson_embed build the point through _hold.
     """
 
-    __slots__ = ("ideal", "_ideal_ints", "_columns", "_dens", "_subspace")
+    __slots__ = ("ideal", "_scale", "_ideal_ints", "_columns", "_dens", "_subspace")
 
     def __init__(self, ideal, subspace):
         ideal = tuple(_frac(c) for c in ideal)
@@ -386,25 +392,23 @@ class EmbeddedPoint:
         if subspace.rows != 2 * n or subspace.cols != n:
             raise ValueError(f"subspace must be {2 * n}x{n}, got {subspace.rows}x{subspace.cols}")
         _, (ideal_ints,) = _cleared([ideal])
-        den = subspace._den
-        self._hold(ideal, ideal_ints, [(den, column) for column in zip(*subspace._ints)], subspace)
-
-    def _hold(self, ideal, ideal_ints, columns, subspace):
-        """Set the slots and return the point: the ideal, integers ideal_ints
-        proportional to its coefficients, the basis columns given as
-        (denominator, integer column) pairs, each reduced here by its gcd,
-        and the subspace matrix, or None to build it on first read.  Every
-        point is built here, and here alone the columns' full rank is
-        checked."""
-        reduced, dens = [], []
-        for den, column in columns:
+        den, columns = subspace._den, []
+        for column in zip(*subspace._ints):
             g = gcd(den, *column)
-            reduced.append(tuple(v // g for v in column))
-            dens.append(den // g)
-        columns, dens = tuple(reduced), tuple(dens)
+            columns.append((den // g, tuple(v // g for v in column)))
+        self._hold(ideal, 1, ideal_ints, columns, subspace)
+
+    def _hold(self, ideal, scale, ideal_ints, columns, subspace):
+        """Set the slots and return the point: the ideal, the scale s,
+        integers ideal_ints proportional to s^n ideal(w / s), the basis
+        columns in w as reduced (denominator, integer column) pairs, and the
+        subspace matrix, or None to build it on first read.  Every point is
+        built here, and here alone the columns' full rank is checked."""
+        dens, columns = zip(*columns)
         if not _full_column_rank(columns):
             raise ValueError("subspace columns must be linearly independent")
         object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_ideal_ints", ideal_ints)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_dens", dens)
@@ -420,20 +424,21 @@ class EmbeddedPoint:
 
     @property
     def subspace(self):
-        """The basis as one matrix, columns in the monomial basis.
+        """The basis as one matrix, columns in the monomial basis of z.
 
-        Column j is held as integers over its own denominator d_j, sharing no
-        factor with it, so the matrix over L = lcm(d_j), column j scaled by
-        L / d_j, is already reduced and is held as built.  Were a prime p to
-        divide L and every entry, take a j where p has its full power in
-        d_j: L / d_j is prime to p, so p would divide all of column j and
-        d_j, which contradicts column j being reduced.
+        Entry (k, j) is h_k s^k / d_j for column j; the matrix is built over
+        L = lcm(d_j), column j scaled by L / d_j, and reduced once by
+        RationalMatrix._from_ints.
         """
         subspace = self._subspace
         if subspace is None:
             den = lcm(*self._dens)
-            ints = zip(*([v * (den // d) for v in column] for column, d in zip(self._columns, self._dens)))
-            subspace = object.__new__(RationalMatrix)._hold(den, tuple(ints), None)
+            s_powers = [self._scale**k for k in range(2 * self.n)]
+            columns = []
+            for column, d in zip(self._columns, self._dens):
+                multiplier = den // d
+                columns.append([v * s_k * multiplier for v, s_k in zip(column, s_powers)])
+            subspace = RationalMatrix._from_ints(den, zip(*columns))
             object.__setattr__(self, "_subspace", subspace)
         return subspace
 
@@ -512,7 +517,8 @@ def verify_cm(x, y):
     Returns (ok, m, witness): m is the commutator-plus-identity matrix and
     witness is a (column, row) pair with m = column * row when ok: row is
     the first nonzero row of m and column divides column c of m by the row's
-    first nonzero entry, both read off m's integer rows.
+    first nonzero entry, both read off m's integer rows, with one Fraction
+    per distinct value.
     """
     m = commutator_plus_identity(x, y)
     if m.rank() != 1:
@@ -520,9 +526,14 @@ def verify_cm(x, y):
     den, ints = m._den, m._ints
     irow = next(row for row in ints if any(row))
     c = next(j for j, v in enumerate(irow) if v)
-    row = tuple(Fraction(v, den) for v in irow)
-    column = tuple(Fraction(r[c], irow[c]) for r in ints)
-    return True, m, (column, row)
+    return True, m, (_fractions([r[c] for r in ints], irow[c]), _fractions(irow, den))
+
+
+def _fractions(numerators, den):
+    """The tuple of Fraction(v, den) over the integers v, one Fraction built
+    per distinct v."""
+    made = {v: Fraction(v, den) for v in set(numerators)}
+    return tuple([made[v] for v in numerators])
 
 
 def cstar_act(c, x, y):
@@ -580,25 +591,37 @@ def poly_from_roots(roots):
     return tuple(Fraction(q_k, d ** (n - k)) for k, q_k in enumerate(_root_product(a)))
 
 
-def _divide_by_root(coeffs, r):
-    """Quotient of an integer polynomial by (w - r) by synthetic division.
+def _divide_by_double_root(coeffs, r):
+    """Quotient of an integer polynomial by (w - r)^2, as two synthetic
+    divisions by w - r in one pass: the second division takes each quotient
+    coefficient of the first as it is made, high to low.
 
-    Raises ArithmeticError unless r is a root.
+    Raises ArithmeticError unless r is a root of multiplicity at least two.
     """
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * r + coeffs[k]
-        out[k - 1] = acc
-    remainder = acc * r + coeffs[0]
-    if remainder:
-        raise ArithmeticError(f"synthetic division by w - {r} left remainder {remainder}")
+    out = [0] * (len(coeffs) - 2)
+    first = second = 0
+    for k in range(len(coeffs) - 1, 1, -1):
+        first = first * r + coeffs[k]
+        second = second * r + first
+        out[k - 2] = second
+    first = first * r + coeffs[1]
+    remainders = (first * r + coeffs[0], second * r + first)
+    if any(remainders):
+        raise ArithmeticError(f"division by (w - {r})^2 left remainders {remainders}")
     return out
 
 
-def _scaled_value_and_derivative(coeffs, a, b):
-    """b^m p(a/b) and b^m p'(a/b) for integer coefficients of p, m = len - 1."""
-    val, der, b_power = 0, 0, 1
+def _value_and_derivative(coeffs, a, b=1):
+    """b^m p(a/b) and b^m p'(a/b) for integer coefficients of p, m = len - 1;
+    at an integer point (b = 1), p(a) and p'(a) by two multiplications per
+    coefficient."""
+    val = der = 0
+    if b == 1:
+        for c in reversed(coeffs):
+            der = der * a + val
+            val = val * a + c
+        return val, der
+    b_power = 1
     for c in reversed(coeffs):
         der = der * a + val
         val = val * a + c * b_power
@@ -616,50 +639,56 @@ def wilson_embed(point):
     squared factors and g_i is the inverse-linear correction at y_i.
 
     The work runs on integers in w = D z, D the common denominator of the
-    eigenvalues and a_i = D y_i: Q(w) = prod (w - a_j), and each
-    R_i = Q^2 / (w - a_i)^2 comes from two synthetic divisions.  With
-    A = R_i(a_i), B = R_i'(a_i) and alpha_i = s/t, column i is
-    R_i(w) (A D t - (s A + B D t)(w - a_i)) / (A^2 D t), so its z^k
-    coefficient is h_k D^k / (A^2 D t); ideal coefficient k is q_k / D^(n-k).
-    The EmbeddedPoint reduces each column over its own denominator; the
-    ideal's integers are q_k D^k, over D^n.
+    eigenvalues and a_i = D y_i, and the point is held there with scale D:
+    Q(w) = prod (w - a_j) is the ideal's integers, and each
+    R_i = Q^2 / (w - a_i)^2 comes from one pass of double-root division.
+    With A = R_i(a_i), B = R_i'(a_i) and alpha_i = u/t, column i is
+    R_i(w) (A D t - (u A + B D t)(w - a_i)) / (A^2 D t).  R_i is monic, so
+    by Gauss's lemma the content of that integer column is the content of
+    its linear factor, and the column is reduced by dividing the linear
+    factor and the denominator by their gcd.
     """
     n = point.n
     d, (a,) = _cleared([point.y])
-    d_powers = [d**k for k in range(2 * n)]
     q = _root_product(a)
     square = poly_mul(q, q)
     columns = []
     for a_i, alpha_i in zip(a, point.alpha):
-        r_i = _divide_by_root(_divide_by_root(square, a_i), a_i)
-        big_a, big_b = _scaled_value_and_derivative(r_i, a_i, 1)  # A is nonzero
+        r_i = _divide_by_double_root(square, a_i)
+        big_a, big_b = _value_and_derivative(r_i, a_i)  # A is nonzero
         dt = d * alpha_i.denominator
         slope = alpha_i.numerator * big_a + big_b * dt
         constant = big_a * dt + slope * a_i  # h = R_i(w) (constant - slope w)
-        h = [constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)]
-        columns.append((big_a * big_a * dt, [h_k * d_k for h_k, d_k in zip(h, d_powers)]))
-    ideal = tuple(Fraction(q_k, d_powers[n - k]) for k, q_k in enumerate(q))
-    ideal_ints = [q_k * d_k for q_k, d_k in zip(q, d_powers)]
-    return object.__new__(EmbeddedPoint)._hold(ideal, ideal_ints, columns, None)
+        den = big_a * big_a * dt
+        g = gcd(den, constant, slope)
+        if g > 1:
+            den, constant, slope = den // g, constant // g, slope // g
+        columns.append((den, tuple([constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)])))
+    ideal = tuple(Fraction(q_k, d ** (n - k)) for k, q_k in enumerate(q))
+    return object.__new__(EmbeddedPoint)._hold(ideal, d, q, columns, None)
 
 
 def component_line(point, y_i):
     """Project the subspace into the square of the maximal ideal quotient at y_i.
 
     Returns the projected line as a normalized pair (value, derivative) in the
-    basis 1, (z - y_i); y_i must be a root of the ideal.  With y_i = a/b, one
-    integer Horner pass over each of the point's column-cleared integer
-    columns gives b^m (p(a/b), p'(a/b)); the column's common denominator and
-    b^m cancel in the normalized line.  The root test runs the same pass on
+    basis 1, (z - y_i); y_i must be a root of the ideal.  The point's columns
+    are polynomials h in w = s z, so the line at y_i is (h(r), s h'(r)) at
+    r = s y_i, the column's denominator cancelling in the normalized line.
+    On a Wilson point r is an integer and each column takes one integer
+    Horner pass at r; otherwise, with r = a/b, the pass gives b^m (h(r), h'(r)),
+    and b^m cancels as well.  The root test runs the same pass on the
     integers the point holds for its ideal.
     """
     y_i = _frac(y_i)
-    a, b = y_i.numerator, y_i.denominator
-    if _scaled_value_and_derivative(point._ideal_ints, a, b)[0]:
+    s = point._scale
+    g = gcd(s, y_i.denominator)
+    a, b = y_i.numerator * (s // g), y_i.denominator // g  # r = a/b in lowest terms
+    if _value_and_derivative(point._ideal_ints, a, b)[0]:
         raise ValueError(f"{y_i} is not a root of the ideal")
     images = []
     for coeffs in point._columns:
-        val, der = _scaled_value_and_derivative(coeffs, a, b)
+        val, der = _value_and_derivative(coeffs, a, b)
         if val or der:
             images.append((val, der))
     if not images:
@@ -667,6 +696,7 @@ def component_line(point, y_i):
     lead_val, lead_der = images[0]
     if any(val * lead_der != der * lead_val for val, der in images[1:]):
         raise ValueError(f"projection at {y_i} is not a line")
+    lead_der *= s  # d/dz = s d/dw
     scale = lead_val if lead_val != 0 else lead_der
     return Fraction(lead_val, scale), Fraction(lead_der, scale)
 

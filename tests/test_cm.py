@@ -507,6 +507,10 @@ def test_verify_cm_on_normal_form():
     for i in range(2):
         for j in range(2):
             assert column[i] * row[j] == m.entries[i][j]
+    # the all-ones witness of a larger normal form is one Fraction per distinct value
+    ok, m, (column, row) = verify_cm(*wilson_representative(CMPointRegular([0, 1, 3, Fraction(-1, 2), 7], [1] * 5)))
+    assert ok and column == row == (Fraction(1),) * 5
+    assert len(set(map(id, column))) == len(set(map(id, row))) == 1
 
 
 def test_rank_one_holds_beyond_two_points():
@@ -689,8 +693,10 @@ def test_public_constructor_holds_the_embedding_form():
         point = _seeded_point(rng, n)
         embedded = wilson_embed(point)
         rebuilt = EmbeddedPoint(embedded.ideal, embedded.subspace)
-        assert (rebuilt._columns, rebuilt._dens) == (embedded._columns, embedded._dens)
+        _holds_one_form(rebuilt, embedded.subspace.entries, 1)
         assert rebuilt.subspace is embedded.subspace and rebuilt.ideal == embedded.ideal
+        # a second embedding builds its subspace from its w-columns alone
+        assert wilson_embed(point).subspace == rebuilt.subspace
         for y_i, alpha_i in zip(point.y, point.alpha):
             assert component_line(rebuilt, y_i) == component_line(embedded, y_i) == (1, -alpha_i)
 
@@ -706,7 +712,7 @@ def test_embedded_point_validation():
 
 def test_embedded_point_is_immutable():
     point = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(-2, 3)]))
-    for name in ("ideal", "subspace", "_columns", "_dens", "_ideal_ints", "_subspace"):
+    for name in ("ideal", "subspace", "_scale", "_columns", "_dens", "_ideal_ints", "_subspace"):
         with pytest.raises(AttributeError):
             setattr(point, name, ())
     with pytest.raises(AttributeError):
@@ -823,12 +829,44 @@ def test_profile_errors():
         schubert_profile(RationalMatrix([[1, 1], [0, 0], [0, 0], [0, 0]]))
 
 
+def _synthetic_division(coeffs, r):
+    """(quotient, remainder) of an integer polynomial by w - r, low to high."""
+    quotient, acc = [], 0
+    for c in reversed(coeffs):
+        quotient.append(acc)
+        acc = acc * r + c
+    return quotient[:0:-1], acc
+
+
+def test_double_root_division_matches_two_synthetic_divisions():
+    rng = random.Random(2022)
+    for _ in range(200):
+        r = rng.randint(-30, 30)
+        q = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+        p = poly_mul(poly_mul(q, [-r, 1]), [-r, 1])
+        once, rem_once = _synthetic_division(p, r)
+        twice, rem_twice = _synthetic_division(once, r)
+        assert rem_once == rem_twice == 0
+        assert cm._divide_by_double_root(p, r) == twice == q
+    assert cm._divide_by_double_root([1, -2, 1], 1) == [1]
+
+
 def test_synthetic_division_by_a_non_root_raises():
-    assert cm._divide_by_root([-1, 0, 1], 1) == [1, 1]
-    with pytest.raises(ArithmeticError):
-        cm._divide_by_root([1, 0, 1], 1)
-    with pytest.raises(ArithmeticError):
-        cm._divide_by_root([-4, 0, 1], -3)
+    """Double-root division raises at a non-root and at a simple root."""
+    for coeffs, r in (
+        ([2, -3, 1], 1),  # (w - 1)(w - 2): a simple root
+        ([-2, 0, 0, 1], 1),  # not a root
+        ([1, 0, 1], 0),  # not a root
+        (poly_mul([-3, 1], [-3, 1]), -3),  # (w - 3)^2 at -3: not a root
+    ):
+        with pytest.raises(ArithmeticError):
+            cm._divide_by_double_root(coeffs, r)
+
+
+def test_prime_is_prime_and_one_digit():
+    p = cm._PRIME
+    assert 2**29 < p < 2**30
+    assert all(p % k for k in range(2, math.isqrt(p) + 1))
 
 
 # -- test-only oracles: the Fraction kernels the integer ones replaced
@@ -879,13 +917,24 @@ def _fraction_cleared_columns(matrix):
     return tuple(columns), tuple(dens)
 
 
-def _holds_one_form(embedded, subspace_entries):
-    """The point's integer columns over their denominators are the Fraction
-    columns of subspace_entries cleared one by one, and its ideal integers are
-    proportional to the ideal."""
-    assert (embedded._columns, embedded._dens) == _fraction_cleared_columns(RationalMatrix(subspace_entries))
-    top = embedded._ideal_ints[-1]
-    assert tuple(Fraction(v, top) for v in embedded._ideal_ints) == embedded.ideal
+def _holds_one_form(embedded, subspace_entries, scale):
+    """The point holds the scale s, and its columns h over their denominators d
+    are polynomials in w = s z: each column is reduced, and h_k s^k / d is
+    entry k of the Fraction column of subspace_entries.  Its ideal integers
+    are proportional to s^n ideal(w / s)."""
+    assert embedded._scale == scale
+    columns = tuple(zip(*subspace_entries))
+    assert len(embedded._columns) == len(embedded._dens) == len(columns)
+    for h, d, column in zip(embedded._columns, embedded._dens, columns):
+        assert d > 0 and math.gcd(d, *h) == 1
+        assert tuple(Fraction(h_k * scale**k, d) for k, h_k in enumerate(h)) == column
+    ints, n = embedded._ideal_ints, embedded.n
+    assert tuple(Fraction(v, ints[-1] * scale ** (n - k)) for k, v in enumerate(ints)) == embedded.ideal
+
+
+def _wilson_scale(point):
+    """The common denominator of the eigenvalues."""
+    return math.lcm(*(v.denominator for v in point.y))
 
 
 def _fraction_commutator(x, y):
@@ -1055,7 +1104,7 @@ def test_charpoly_matches_sympy():
 def test_embedding_matches_per_column_oracle(point):
     embedded = wilson_embed(point)
     ideal, entries = _per_column_embed(point)
-    _holds_one_form(embedded, entries)
+    _holds_one_form(embedded, entries, _wilson_scale(point))
     assert embedded.ideal == ideal
     _same_matrix(embedded.subspace, entries)
     for y_i in point.y:
@@ -1068,7 +1117,7 @@ def test_embedding_matches_per_column_oracle_at_large_sizes():
         point = _seeded_point(rng, n)
         embedded = wilson_embed(point)
         ideal, entries = _per_column_embed(point)
-        _holds_one_form(embedded, entries)
+        _holds_one_form(embedded, entries, _wilson_scale(point))
         assert embedded.ideal == ideal
         _same_matrix(embedded.subspace, entries)
         for y_i in point.y:
@@ -1121,9 +1170,36 @@ def test_component_line_matches_fraction_horner(a, root, line):
     subspace = RationalMatrix([[col[r] for col in columns] for r in range(2 * n)])
     assume(subspace.rank() == n)
     embedded = EmbeddedPoint(poly_from_roots([root + k for k in range(n)]), subspace)
-    _holds_one_form(embedded, subspace.entries)
+    _holds_one_form(embedded, subspace.entries, 1)
     assert embedded.subspace is subspace
     assert component_line(embedded, root) == _fraction_horner_line(embedded, root)
+
+
+def test_component_line_takes_both_horner_branches(monkeypatch):
+    passes = []
+    horner = cm._value_and_derivative
+
+    def spy(coeffs, a, b=1):
+        passes.append(b)
+        return horner(coeffs, a, b)
+
+    monkeypatch.setattr(cm, "_value_and_derivative", spy)
+    # eigenvalue denominators 2 and 3: the scale is 6, so every held root is an integer
+    point = CMPointRegular([Fraction(1, 2), Fraction(-2, 3), 4, Fraction(5, 6)], [Fraction(1, 3), -2, Fraction(7, 2), 0])
+    embedded = wilson_embed(point)
+    assert embedded._scale == 6
+    for y_i, alpha_i in zip(point.y, point.alpha):
+        passes.clear()
+        assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i) == (1, -alpha_i)
+        assert passes == [1] * 5  # the root test and one pass per column
+    # the public constructor holds scale 1, so the root 5/2 stays a fraction
+    point = CMPointRegular([Fraction(5, 2), Fraction(1, 3)], [Fraction(-3, 4), 2])
+    wilson = wilson_embed(point)
+    rebuilt = EmbeddedPoint(wilson.ideal, wilson.subspace)
+    for y_i, alpha_i in zip(point.y, point.alpha):
+        passes.clear()
+        assert component_line(rebuilt, y_i) == _fraction_horner_line(rebuilt, y_i) == (1, -alpha_i)
+        assert passes == [y_i.denominator] * 3
 
 
 # -- the full-column-rank certificate and its exact fallback
