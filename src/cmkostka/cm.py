@@ -21,12 +21,19 @@ the one place that checks the type's invariants.  An embedded point holds
 its ideal and its basis columns as integer polynomials in w = s z, for a
 positive integer scale s, each column over its own denominator; a Wilson
 embedding takes s = D, so every root of its ideal is an integer in w, and
-its subspace matrix in z is built on first read, in the reduced form.  One
-incremental row echelon modulo the prime 2^30 - 35 serves two certificates,
-since rank can only drop modulo a prime: the embedded columns' full rank,
-and the big cell n^n of a Schubert profile (the top n x n block
-nonsingular); below 2^30, every residue is one CPython digit.  Exact
-elimination decides only when a certificate fails.
+its Fraction ideal and its subspace matrix in z are built on first read,
+the matrix in the reduced form.  Full rank is certified without exact
+elimination in one of two ways.  A Wilson embedding certifies each column
+at its own root: one exact identity per column, (w - a_i)^2 h_i = Q^2 l_i
+for a linear l_i, checked in O(n) products against its own division of Q^2
+by (w - a_i)^2, shows that column i vanishes to order two at every other
+root, so the columns' values and derivatives at the n roots form a block
+diagonal matrix with nonzero blocks; the point keeps each column's block,
+and component_line reads it.  One incremental row echelon modulo the prime
+2^30 - 35 serves the columns of a point from the public constructor and the
+big cell n^n of a Schubert profile (the top n x n block nonsingular), since
+rank can only drop modulo a prime; below 2^30, every residue is one CPython
+digit.  Exact elimination decides only when that echelon fails.
 Entries and scalars must be Fraction or int; anything else raises TypeError
 rather than being coerced.
 """
@@ -377,12 +384,16 @@ class EmbeddedPoint:
     its own denominator d, sharing no factor with it, so that the column's
     z^k coefficient is h_k s^k / d.  wilson_embed takes s = D, the common
     denominator of the eigenvalues, so that every root of its ideal is an
-    integer in w; the public constructor takes s = 1.  The subspace matrix
-    in z is built on first read and kept.  Both the public constructor and
-    wilson_embed build the point through _hold.
+    integer in w; the public constructor takes s = 1.  The Fraction ideal
+    and the subspace matrix in z are built on first read and kept; the
+    public constructor keeps the ones it was given.  A Wilson point also
+    keeps, per root a of its ideal in w, the image (h(a), h'(a)) of the one
+    column that does not vanish to order two there; a point from the public
+    constructor keeps None.  Both the public constructor and wilson_embed
+    build the point through _hold.
     """
 
-    __slots__ = ("ideal", "_scale", "_ideal_ints", "_columns", "_dens", "_subspace")
+    __slots__ = ("_ideal", "_scale", "_ideal_ints", "_columns", "_dens", "_subspace", "_images")
 
     def __init__(self, ideal, subspace):
         ideal = tuple(_frac(c) for c in ideal)
@@ -396,23 +407,36 @@ class EmbeddedPoint:
         for column in zip(*subspace._ints):
             g = gcd(den, *column)
             columns.append((den // g, tuple(v // g for v in column)))
-        self._hold(ideal, 1, ideal_ints, columns, subspace)
+        self._hold(1, ideal_ints, columns, ideal, subspace)
 
-    def _hold(self, ideal, scale, ideal_ints, columns, subspace):
-        """Set the slots and return the point: the ideal, the scale s,
-        integers ideal_ints proportional to s^n ideal(w / s), the basis
-        columns in w as reduced (denominator, integer column) pairs, and the
-        subspace matrix, or None to build it on first read.  Every point is
-        built here, and here alone the columns' full rank is checked."""
+    def _hold(self, scale, ideal_ints, columns, ideal, subspace, roots=None, square=None):
+        """Set the slots and return the point: the scale s, integers
+        ideal_ints proportional to s^n ideal(w / s), the basis columns in w
+        as reduced (denominator, integer column) pairs, and the Fraction
+        ideal and the subspace matrix, or None to build them on first read.
+        Every point is built here, and here alone the columns' full rank is
+        checked.
+
+        Without roots, the mod-p row echelon certifies it, and exact rank
+        decides when the echelon fails.  With roots, the integer roots a_i
+        of the ideal in w, one per column and in column order, and square,
+        the integers of Q^2 for Q = prod (w - a_i), _wilson_images certifies
+        each column at its own root and the point keeps its images there.
+        """
         dens, columns = zip(*columns)
-        if not _full_column_rank(columns):
-            raise ValueError("subspace columns must be linearly independent")
-        object.__setattr__(self, "ideal", ideal)
+        if roots is None:
+            if not _full_column_rank(columns):
+                raise ValueError("subspace columns must be linearly independent")
+            images = None
+        else:
+            images = _wilson_images(ideal_ints, columns, roots, square)
+        object.__setattr__(self, "_ideal", ideal)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_ideal_ints", ideal_ints)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_subspace", subspace)
+        object.__setattr__(self, "_images", images)
         return self
 
     def __setattr__(self, name, value):
@@ -420,7 +444,22 @@ class EmbeddedPoint:
 
     @property
     def n(self):
-        return len(self.ideal) - 1
+        return len(self._ideal_ints) - 1
+
+    @property
+    def ideal(self):
+        """The monic ideal generator in z, as low-to-high Fraction coefficients.
+
+        With c the integers held for s^n I(w / s) up to a factor, coefficient
+        k is c_k / (c_n s^(n-k)).
+        """
+        ideal = self._ideal
+        if ideal is None:
+            ints, s = self._ideal_ints, self._scale
+            n, lead = len(ints) - 1, ints[-1]
+            ideal = tuple(Fraction(c_k, lead * s ** (n - k)) for k, c_k in enumerate(ints))
+            object.__setattr__(self, "_ideal", ideal)
+        return ideal
 
     @property
     def subspace(self):
@@ -629,6 +668,72 @@ def _value_and_derivative(coeffs, a, b=1):
     return val, der * b
 
 
+def _wilson_images(ideal_ints, columns, roots, square):
+    """Certify that the integer columns h_i in w, column i paired with
+    roots[i], are linearly independent, and return their images
+    {a_i: (h_i(a_i), h_i'(a_i))} at their own roots.
+
+    Raises ValueError unless, with n = len(roots):
+    1. the roots are distinct and each is a root of ideal_ints, of degree
+       n, so the ideal is Q = prod (w - a_i) up to a factor;
+    2. square is monic of degree 2n, there is one column of 2n
+       coefficients per root, and for each column square = (w - a_i)^2 R_i
+       with no remainder and h_i = R_i l_i for a linear l_i, checked by
+       _is_quotient_times_linear at O(n) products per column;
+    3. each column's image at its own root is nonzero.
+    Checks 1 and 3 take one Horner pass per root.
+    By 2, square is monic of degree 2n and divisible by every (w - a_i)^2,
+    so square = Q^2, and h_i = l_i Q^2 / (w - a_i)^2 vanishes to order two
+    at every other root.  Values and derivatives at n distinct points
+    determine a polynomial of degree < 2n (Hermite interpolation), and they
+    send column i to root i's pair of coordinates alone, where by 3 its
+    image is nonzero, so the columns are independent.  The division is the
+    certificate's own, so a fault in the division wilson_embed builds its
+    columns from cannot pass it.
+    """
+    n = len(roots)
+    if len(set(roots)) != n or len(ideal_ints) != n + 1 or not ideal_ints[-1]:
+        raise ValueError(f"roots {roots} are not {len(ideal_ints) - 1} distinct roots of the ideal")
+    for a in roots:
+        if _value_and_derivative(ideal_ints, a)[0]:
+            raise ValueError(f"{a} is not a root of the ideal")
+    if len(columns) != n or len(square) != 2 * n + 1 or square[-1] != 1:
+        raise ValueError("need one column per root and a monic square of degree 2n")
+    images = {}
+    for h, a in zip(columns, roots):
+        if len(h) != 2 * n or not _is_quotient_times_linear(h, square, a):
+            raise ValueError(f"column at {a} is not Q^2 / (w - {a})^2 times a linear factor")
+        image = _value_and_derivative(h, a)
+        if image == (0, 0):
+            raise ValueError(f"column at {a} projects to zero there")
+        images[a] = image
+    return images
+
+
+def _is_quotient_times_linear(h, square, a):
+    """Whether square = (w - a)^2 R with no remainder and h = R l for a
+    linear l, for integer coefficients h, one fewer than square's, and a
+    monic square.
+
+    R comes from two synthetic divisions by w - a in one pass, high to low,
+    as in _divide_by_double_root, and each coefficient of h is compared with
+    R l as the coefficients of R are made.  R is monic with next coefficient
+    square_(m-1) + 2a, m = deg square, so l = constant + slope w is read off
+    the top two coefficients of h.
+    """
+    slope = h[-1]
+    constant = h[-2] - (square[-2] + 2 * a) * slope
+    first = quotient = upper = 0
+    for k in range(len(square) - 1, 1, -1):
+        first = first * a + square[k]
+        quotient = quotient * a + first  # R_(k-2), and upper is R_(k-1)
+        if h[k - 1] != constant * upper + slope * quotient:
+            return False
+        upper = quotient
+    first = first * a + square[1]
+    return not (first * a + square[0] or quotient * a + first) and h[0] == constant * quotient
+
+
 def wilson_embed(point):
     """Embed a regular point into the relative Grassmannian.
 
@@ -646,9 +751,10 @@ def wilson_embed(point):
     R_i(w) (A D t - (u A + B D t)(w - a_i)) / (A^2 D t).  R_i is monic, so
     by Gauss's lemma the content of that integer column is the content of
     its linear factor, and the column is reduced by dividing the linear
-    factor and the denominator by their gcd.
+    factor and the denominator by their gcd.  The point is held with the
+    roots a_i and Q^2, so _hold certifies each column at its own root, with
+    no row echelon, and keeps its image there for component_line.
     """
-    n = point.n
     d, (a,) = _cleared([point.y])
     q = _root_product(a)
     square = poly_mul(q, q)
@@ -664,8 +770,7 @@ def wilson_embed(point):
         if g > 1:
             den, constant, slope = den // g, constant // g, slope // g
         columns.append((den, tuple([constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)])))
-    ideal = tuple(Fraction(q_k, d ** (n - k)) for k, q_k in enumerate(q))
-    return object.__new__(EmbeddedPoint)._hold(ideal, d, q, columns, None)
+    return object.__new__(EmbeddedPoint)._hold(d, q, columns, None, None, a, square)
 
 
 def component_line(point, y_i):
@@ -675,27 +780,36 @@ def component_line(point, y_i):
     basis 1, (z - y_i); y_i must be a root of the ideal.  The point's columns
     are polynomials h in w = s z, so the line at y_i is (h(r), s h'(r)) at
     r = s y_i, the column's denominator cancelling in the normalized line.
-    On a Wilson point r is an integer and each column takes one integer
-    Horner pass at r; otherwise, with r = a/b, the pass gives b^m (h(r), h'(r)),
-    and b^m cancels as well.  The root test runs the same pass on the
-    integers the point holds for its ideal.
+    On a Wilson point the roots are the keys of its images: r must be an
+    integer key, and the line is that key's image, with no Horner pass, since
+    the certificate in _hold shows every other column's image there is zero.
+    On a point from the public constructor, with r = a/b, each column takes
+    one Horner pass giving b^m (h(r), h'(r)), b^m cancelling as well, and the
+    root test runs the same pass on the integers the point holds for its
+    ideal.
     """
     y_i = _frac(y_i)
     s = point._scale
     g = gcd(s, y_i.denominator)
     a, b = y_i.numerator * (s // g), y_i.denominator // g  # r = a/b in lowest terms
-    if _value_and_derivative(point._ideal_ints, a, b)[0]:
-        raise ValueError(f"{y_i} is not a root of the ideal")
-    images = []
-    for coeffs in point._columns:
-        val, der = _value_and_derivative(coeffs, a, b)
-        if val or der:
-            images.append((val, der))
-    if not images:
-        raise ValueError(f"subspace projects to zero at {y_i}")
-    lead_val, lead_der = images[0]
-    if any(val * lead_der != der * lead_val for val, der in images[1:]):
-        raise ValueError(f"projection at {y_i} is not a line")
+    if point._images is not None:
+        image = point._images.get(a) if b == 1 else None
+        if image is None:
+            raise ValueError(f"{y_i} is not a root of the ideal")
+        lead_val, lead_der = image
+    else:
+        if _value_and_derivative(point._ideal_ints, a, b)[0]:
+            raise ValueError(f"{y_i} is not a root of the ideal")
+        images = []
+        for coeffs in point._columns:
+            val, der = _value_and_derivative(coeffs, a, b)
+            if val or der:
+                images.append((val, der))
+        if not images:
+            raise ValueError(f"subspace projects to zero at {y_i}")
+        lead_val, lead_der = images[0]
+        if any(val * lead_der != der * lead_val for val, der in images[1:]):
+            raise ValueError(f"projection at {y_i} is not a line")
     lead_der *= s  # d/dz = s d/dw
     scale = lead_val if lead_val != 0 else lead_der
     return Fraction(lead_val, scale), Fraction(lead_der, scale)

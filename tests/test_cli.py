@@ -405,6 +405,24 @@ def test_rank_one_witness_that_does_not_factor_fails(monkeypatch):
     assert result.detail.endswith(": witness does not factor the matrix")
 
 
+def test_wilson_column_off_its_block_fails_the_component_lines(capsys, monkeypatch):
+    # A quotient one off in its constant term: wilson_embed still fits each
+    # column's line at its own root, but the column no longer vanishes at the
+    # other roots, so the embedding must not pass.
+    from cmkostka import cm
+
+    genuine = cm._divide_by_double_root
+
+    def corrupted(coeffs, r):
+        quotient = genuine(coeffs, r)
+        return [quotient[0] + 1] + quotient[1:]
+
+    monkeypatch.setattr(cm, "_divide_by_double_root", corrupted)
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert any(line.startswith("FAIL embedding-component-lines: ") for line in out.splitlines())
+
+
 def _points_built_at_each_draw(rng, count, max_n):
     """Reference sampler: the same rng calls, each Fraction built where it is drawn."""
     points = []

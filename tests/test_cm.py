@@ -712,7 +712,7 @@ def test_embedded_point_validation():
 
 def test_embedded_point_is_immutable():
     point = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(-2, 3)]))
-    for name in ("ideal", "subspace", "_scale", "_columns", "_dens", "_ideal_ints", "_subspace"):
+    for name in ("ideal", "subspace", "_ideal", "_scale", "_columns", "_dens", "_ideal_ints", "_subspace", "_images"):
         with pytest.raises(AttributeError):
             setattr(point, name, ())
     with pytest.raises(AttributeError):
@@ -731,7 +731,8 @@ def test_component_line_errors():
     with pytest.raises(ValueError):
         component_line(degenerate, 1)
     embedded = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(2, 3)]))
-    for not_a_root in (Fraction(1, 3), 2, Fraction(-1, 2)):
+    # at 1/4, r = 2 * 1/4 = 1/2 has the numerator of the held root 1
+    for not_a_root in (Fraction(1, 3), 2, Fraction(-1, 2), Fraction(1, 4)):
         with pytest.raises(ValueError, match="not a root"):
             component_line(embedded, not_a_root)
 
@@ -1188,18 +1189,163 @@ def test_component_line_takes_both_horner_branches(monkeypatch):
     point = CMPointRegular([Fraction(1, 2), Fraction(-2, 3), 4, Fraction(5, 6)], [Fraction(1, 3), -2, Fraction(7, 2), 0])
     embedded = wilson_embed(point)
     assert embedded._scale == 6
+    assert list(embedded._images) == [3, -4, 24, 5]
+    # per root, one pass for A and B in wilson_embed, and the root test and the image in _hold
+    assert passes == [1] * 12
     for y_i, alpha_i in zip(point.y, point.alpha):
         passes.clear()
         assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i) == (1, -alpha_i)
-        assert passes == [1] * 5  # the root test and one pass per column
+        assert passes == []  # the held image, with no pass
     # the public constructor holds scale 1, so the root 5/2 stays a fraction
     point = CMPointRegular([Fraction(5, 2), Fraction(1, 3)], [Fraction(-3, 4), 2])
     wilson = wilson_embed(point)
     rebuilt = EmbeddedPoint(wilson.ideal, wilson.subspace)
+    assert rebuilt._images is None
     for y_i, alpha_i in zip(point.y, point.alpha):
         passes.clear()
         assert component_line(rebuilt, y_i) == _fraction_horner_line(rebuilt, y_i) == (1, -alpha_i)
-        assert passes == [y_i.denominator] * 3
+        assert passes == [y_i.denominator] * 3  # the root test and one pass per column
+
+
+# -- the Wilson certificate: one support identity per column, at its own root
+
+
+def _wilson_parts(point):
+    """The embedding of the point and the integer roots in w and Q^2 that
+    wilson_embed holds it with."""
+    embedded = wilson_embed(point)
+    roots = [int(y_i * embedded._scale) for y_i in point.y]
+    return embedded, roots, poly_mul(embedded._ideal_ints, embedded._ideal_ints)
+
+
+def _rehold(embedded, columns, roots, square):
+    """A new point from the embedding's integers with the given columns,
+    certified at the given roots."""
+    return object.__new__(EmbeddedPoint)._hold(
+        embedded._scale, embedded._ideal_ints, tuple(zip(embedded._dens, columns)), None, None, roots, square
+    )
+
+
+def _in_its_block(column, roots, i):
+    """Power-sum oracle: the integer column vanishes to order two at every
+    root but roots[i], and its value or derivative at roots[i] is nonzero."""
+
+    def value(r):
+        return sum(c * r**k for k, c in enumerate(column))
+
+    def derivative(r):
+        return sum(k * c * r ** (k - 1) for k, c in enumerate(column) if k)
+
+    others = (r for j, r in enumerate(roots) if j != i)
+    return (value(roots[i]), derivative(roots[i])) != (0, 0) and all(value(r) == derivative(r) == 0 for r in others)
+
+
+CERTIFIED_POINTS = [
+    CMPointRegular([Fraction(7, 3)], [Fraction(-5, 2)]),
+    CMPointRegular([Fraction(-3, 2), 4], [1, Fraction(2, 3)]),
+    CMPointRegular([0, Fraction(5, 2)], [Fraction(1, 4), -3]),
+    # eigenvalue denominators 2 and 3, with 0 among them
+    CMPointRegular([Fraction(1, 2), 0, Fraction(-2, 3), 5], [Fraction(1, 3), -2, Fraction(7, 2), 0]),
+    _seeded_point(random.Random(2023), 12),
+    CMPointRegular([Fraction(k - 6, 1 + k % 2) for k in range(12)], [Fraction(k, 3) for k in range(12)]),
+]
+
+
+@pytest.mark.parametrize("point", CERTIFIED_POINTS, ids=["n=1", "n=2", "n=2-zero", "n=4-zero", "n=12", "n=12-zero"])
+def test_certificate_refuses_every_column_that_leaves_its_block(point):
+    embedded, roots, square = _wilson_parts(point)
+    columns = embedded._columns
+    assert _rehold(embedded, columns, roots, square)._images == embedded._images
+    n, kept = point.n, 0
+    for i, column in enumerate(columns):
+        for k in range(2 * n):
+            for bump in (1, -1):
+                bumped = column[:k] + (column[k] + bump,) + column[k + 1 :]
+                changed = columns[:i] + (bumped,) + columns[i + 1 :]
+                if _in_its_block(bumped, roots, i):
+                    kept += 1
+                    _rehold(embedded, changed, roots, square)
+                else:
+                    with pytest.raises(ValueError):
+                        _rehold(embedded, changed, roots, square)
+    # Only a column whose other roots' squares leave no room changes by a
+    # monomial and stays in its block: every linear column at n = 1, and the
+    # w^2, w^3 bumps of the column at the nonzero root when the other is 0.
+    assert kept == {1: 4, 2: 4 if 0 in roots else 0}.get(n, 0)
+
+
+@pytest.mark.parametrize("point", CERTIFIED_POINTS[1:], ids=["n=2", "n=2-zero", "n=4-zero", "n=12", "n=12-zero"])
+def test_certificate_refuses_wrong_roots(point):
+    embedded, roots, square = _wilson_parts(point)
+    columns = embedded._columns
+    swapped = [roots[1], roots[0], *roots[2:]]
+    non_root = next(r for r in range(-200, 200) if r not in roots)
+    for wrong in (swapped, [roots[0], roots[0], *roots[2:]], [non_root, *roots[1:]], roots[:-1], roots + [non_root]):
+        with pytest.raises(ValueError):
+            _rehold(embedded, columns, wrong, square)
+    for wrong_square in (square[:-1] + [2], square + [0]):
+        with pytest.raises(ValueError):
+            _rehold(embedded, columns, roots, wrong_square)
+    # a square off by a constant has the same quotients and nonzero remainders
+    with pytest.raises(ValueError):
+        _rehold(embedded, columns, roots, [square[0] + 1, *square[1:]])
+    # a repeated root whose two columns both lie in its block
+    quotient = tuple(cm._divide_by_double_root(square, roots[0])) + (0,)
+    with pytest.raises(ValueError, match="distinct"):
+        _rehold(embedded, (columns[0], quotient, *columns[2:]), [roots[0], roots[0], *roots[2:]], square)
+    # the right square with an ideal it is not the square of
+    ints = embedded._ideal_ints
+    with pytest.raises(ValueError, match="not a root of the ideal"):
+        object.__new__(EmbeddedPoint)._hold(
+            embedded._scale, [ints[0] + 1, *ints[1:]], tuple(zip(embedded._dens, columns)), None, None, roots, square
+        )
+
+
+def test_certificate_at_one_point_has_the_constant_quotient():
+    # n = 1: Q^2 / (w - a)^2 is the constant 1, so the column is its own linear factor
+    point = CMPointRegular([Fraction(-4, 3)], [Fraction(2, 5)])
+    embedded, roots, square = _wilson_parts(point)
+    assert roots == [-4] and square == [16, 8, 1]
+    (column,) = embedded._columns
+    assert len(column) == 2
+    assert embedded._images == {-4: cm._value_and_derivative(column, -4)}
+    # any nonzero linear column is independent, even one vanishing at the root
+    assert _rehold(embedded, ((4, 1),), roots, square)._images == {-4: (0, 1)}
+    with pytest.raises(ValueError, match="projects to zero"):
+        _rehold(embedded, ((0, 0),), roots, square)
+
+
+def test_held_images_match_fraction_horner_at_every_root():
+    rng = random.Random(2024)
+    for n in range(1, 21):
+        point = _seeded_point(rng, n)
+        embedded = wilson_embed(point)
+        s = embedded._scale
+        roots = [int(y_k * s) for y_k in point.y]
+        assert list(embedded._images) == roots
+        # exact Bareiss rank, on the n x 2n transpose: the 2n x n form takes 15x as long at n = 20
+        assert embedded.subspace.transpose().rank() == n
+        for j, (column, y_j) in enumerate(zip(zip(*embedded.subspace.entries), point.y)):
+            # the held image in w over the column's denominator, d/dz = s d/dw
+            val, der = embedded._images[roots[j]]
+            d = embedded._dens[j]
+            assert (Fraction(val, d), Fraction(s * der, d)) == (
+                poly_eval(list(column), y_j),
+                poly_eval_derivative(list(column), y_j),
+            )
+            # the image at every other root is (0, 0)
+            assert _in_its_block(embedded._columns[j], roots, j)
+
+
+def test_fraction_ideal_is_built_on_first_read():
+    point = CMPointRegular([Fraction(1, 2), Fraction(-2, 3), 4], [1, 0, Fraction(-1, 2)])
+    embedded = wilson_embed(point)
+    assert embedded._ideal is None and embedded.n == 3
+    ideal = embedded.ideal
+    assert ideal == poly_from_roots(point.y) and embedded.ideal is ideal
+    assert all(type(c) is Fraction for c in ideal)
+    rebuilt = EmbeddedPoint(ideal, embedded.subspace)
+    assert rebuilt._ideal == ideal and rebuilt.n == 3
 
 
 # -- the full-column-rank certificate and its exact fallback
