@@ -3,20 +3,22 @@
 The normalization used throughout: K has constant term 1, and the weight of
 the line spanned by z^a under the contracting torus action is -a.
 
-The hook formula sees only a label's size and hook multiset, so everything
-here is built once per (size, hooks) key, the hooks a decreasing tuple, in
-bounded caches: the Kostka polynomial in one, and in a second one payload of
-Kostka polynomial, zero-fiber character K(q) K(1/q) and dimension K(1).
+The hook formula sees only a label's hook multiset, one hook per cell, so
+everything here is built once per (n, hooks) key, n the hook count and the
+hooks a decreasing tuple, in bounded caches: the Kostka polynomial in one,
+and in a second one payload of Kostka polynomial, zero-fiber character
+K(q) K(1/q) and dimension K(1).  A wreath label's hooks are its components'
+hook tuples joined and sorted once.
 Callers therefore receive shared results: conjugate partitions and wreath
 labels that differ only in slot order get the same LaurentPoly objects,
 which are immutable.  A diagram and its transpose also share one entry of
 the hook cache in partitions, so the second of a conjugate pair computes no
-hooks.
+hooks.  Every CharacterReport that character() returns comes from one
+builder, _report, which sets the frozen report's slots directly.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from .partitions import GammaPartition, Partition, hook_lengths
 from .qpoly import (
@@ -44,18 +46,43 @@ class CharacterReport:
     dimension: int
 
 
+# The report's own slot descriptors, which _report sets directly in place
+# of the frozen dataclass's __init__.
+_set_label = CharacterReport.label.__set__
+_set_kostka = CharacterReport.kostka.__set__
+_set_character = CharacterReport.character.__set__
+_set_dimension = CharacterReport.dimension.__set__
+
+
+def _report(label, payload):
+    """The CharacterReport of label over payload, a (kostka, character,
+    dimension) triple: equal to CharacterReport(label, *payload)."""
+    report = object.__new__(CharacterReport)
+    _set_label(report, label)
+    _set_kostka(report, payload[0])
+    _set_character(report, payload[1])
+    _set_dimension(report, payload[2])
+    return report
+
+
 def _hook_key(label):
-    """(size, hook multiset as a decreasing tuple): all the hook formula sees
-    of a label.
+    """(n, hook multiset as a decreasing tuple): all the hook formula sees
+    of a label, with n the hook count, which is the label's size.
 
     The hooks are those of the cells of a Partition, as hook_lengths returns
-    them, or of every component of a GammaPartition, merged in the same
-    order; anything else raises TypeError.
+    them, or those of every component of a GammaPartition, the components'
+    hook_lengths tuples joined and sorted once; anything else raises
+    TypeError.
     """
     if isinstance(label, Partition):
-        return label.size, hook_lengths(label)
+        hooks = hook_lengths(label)
+        return len(hooks), hooks
     if isinstance(label, GammaPartition):
-        return label.size, tuple(sorted(chain.from_iterable(map(hook_lengths, label.components)), reverse=True))
+        hooks = []
+        for component in label.components:
+            hooks += hook_lengths(component)
+        hooks.sort(reverse=True)
+        return len(hooks), tuple(hooks)
     raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
@@ -75,7 +102,8 @@ def kostka(label):
     """Kostka polynomial of a label, normalized to constant term 1.
 
     (1-q)...(1-q^n) divided exactly by prod over cells of (1 - q^hook), with n
-    the total size; a GammaPartition's cells are those of all its components.
+    the number of cells; a GammaPartition's cells are those of all its
+    components.
     """
     return _hook_quotient(*_hook_key(label))
 
@@ -88,12 +116,14 @@ def kostka_wreath(gp):
 def character(label):
     """Zero-fiber character report for a Partition or GammaPartition label.
 
-    One hook lookup, one cache read and one report: the Kostka polynomial,
-    the character and the dimension are held together per size and hook
+    One hook key, one cache read and one report: the Kostka polynomial, the
+    character and the dimension are held together per hook count and hook
     multiset in a bounded cache, so labels sharing a multiset (conjugates,
-    slot-permuted wreath labels) receive the same immutable objects.
+    slot-permuted wreath labels) receive the same immutable objects.  The
+    report is built by _report, and equals CharacterReport(label, kostka,
+    character, dimension).
     """
-    return CharacterReport(label, *_hook_character(*_hook_key(label)))
+    return _report(label, _hook_character(*_hook_key(label)))
 
 
 def fixed_point_exponents(lam):

@@ -1,9 +1,11 @@
 """Kostka polynomials, fiber characters, and fixed-point weight data."""
 
+import copy
 import dataclasses
 import pickle
 import weakref
 from collections import Counter
+from itertools import chain
 from math import factorial, prod
 
 import pytest
@@ -206,22 +208,57 @@ def test_report_dimension_matches_the_tableau_oracle(cache):
         assert report.kostka is kostka(label)
 
 
+def _hook_key_labels():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            yield lam, (lam,)
+    for N, top in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        for n in range(top + 1):
+            for gp in enumerate_gamma_partitions(N, n):
+                yield gp, gp.components
+
+
+def test_hook_key_matches_the_summed_size_oracle():
+    # the reference is the key as a size sum plus one chained sort
+    count = 0
+    for label, components in _hook_key_labels():
+        expected = (label.size, tuple(sorted(chain.from_iterable(map(hook_lengths, components)), reverse=True)))
+        key = characters._hook_key(label)
+        assert key == expected
+        assert key[0] == label.size
+        count += 1
+    assert count == 1272  # 272 partitions and 1000 wreath labels
+
+
 def test_character_report_is_a_frozen_slotted_dataclass():
-    report = character(Partition((3, 1)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        report.dimension = 4
-    bumped = dataclasses.replace(report, dimension=4)
-    assert bumped.dimension == 4 and bumped.kostka is report.kostka and report.dimension == 3
-    by_keyword = CharacterReport(
-        label=report.label, kostka=report.kostka, character=report.character, dimension=report.dimension
-    )
-    by_position = CharacterReport(report.label, report.kostka, report.character, report.dimension)
-    assert by_keyword == by_position == report
-    assert hash(by_keyword) == hash(by_position) == hash(report)
-    assert pickle.loads(pickle.dumps(report)) == report
-    assert not hasattr(report, "__dict__")
-    with pytest.raises(TypeError):
-        weakref.ref(report)
+    wreath = GammaPartition((Partition((2, 1)), Partition(()), Partition((1,))))
+    for label in (Partition((3, 1)), wreath):
+        genuine = character(label)
+        payload = (genuine.kostka, genuine.character, genuine.dimension)
+        built = characters._report(label, payload)
+        by_keyword = CharacterReport(
+            label=label, kostka=genuine.kostka, character=genuine.character, dimension=genuine.dimension
+        )
+        by_position = CharacterReport(label, *payload)
+        assert by_keyword == by_position
+        for report in (genuine, built):
+            assert type(report) is CharacterReport
+            assert report == by_position and by_position == report
+            assert hash(report) == hash(by_position)
+            assert repr(report) == repr(by_position)
+            assert copy.deepcopy(report) == report
+            assert pickle.loads(pickle.dumps(report)) == report
+            assert dataclasses.replace(report) == report
+            bumped = dataclasses.replace(report, dimension=report.dimension + 1)
+            assert bumped != report and bumped.kostka is report.kostka
+            assert dataclasses.replace(bumped, dimension=report.dimension) == report
+            for field in dataclasses.fields(CharacterReport):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(report, field.name, None)
+            assert report.dimension == genuine.dimension
+            assert not hasattr(report, "__dict__")
+            with pytest.raises(TypeError):
+                weakref.ref(report)
 
 
 def test_caches_are_bounded():
@@ -293,6 +330,29 @@ def test_summed_wreath_character_detects_one_corrupted_component_hook(monkeypatc
     assert any(gp.components[1] == Partition((2, 1)) for gp in enumerate_gamma_partitions(2, 4))
     left, right = _summed_character_sides(4, 2)
     assert left != right
+
+
+def test_dropped_component_hook_changes_the_wreath_character(monkeypatch):
+    # The key's n is the hook count: dropping the one hook of a (1) component
+    # gives exactly the character of the label with that slot emptied, not
+    # the hook formula at the old size.
+    labels = [gp for gp in enumerate_gamma_partitions(2, 4) if Partition((1,)) in gp.components]
+    assert len(labels) == 6
+    genuine = {gp: character(gp) for gp in labels}
+    emptied = {gp: character(gp.with_component(gp.components.index(Partition((1,))), Partition(())))
+               for gp in labels}
+    hooks = characters.hook_lengths
+
+    def dropped(lam):
+        return hooks(lam)[:-1] if lam == Partition((1,)) else hooks(lam)
+
+    monkeypatch.setattr(characters, "hook_lengths", dropped)
+    for gp in labels:
+        report = character(gp)
+        assert report != genuine[gp]
+        assert report.character != genuine[gp].character
+        assert report.kostka == emptied[gp].kostka and report.character == emptied[gp].character
+        assert report.dimension == emptied[gp].dimension
 
 
 def test_fixed_point_exponents_golden():
