@@ -15,10 +15,23 @@ which are immutable.  A diagram and its transpose also share one entry of
 the hook cache in partitions, so the second of a conjugate pair computes no
 hooks.  Every CharacterReport that character() returns comes from one
 builder, _report, which sets the frozen report's slots directly.
+
+Both polynomials of a key come from one word, K at q = 2^bits, held per key
+in a third bounded cache (_hook_word): the quotient of one exact integer
+division of the cached q-factorial word by the product of cached q-integer
+words, certified by its remainder, its length and its digit sum.  K's
+coefficients are that word's base-2^bits digits, and the character's are
+the digits of its square, each unpacked by one to_bytes call; for bits = 64
+one memoryview cast reads them all.  A key whose word fails the
+certificate, which no label's hooks do, falls back to the dense
+one_minus_quotient and the product K * K(1/q).
 """
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from math import factorial, prod
 
 from .partitions import GammaPartition, Partition, hook_lengths
 from .qpoly import (
@@ -86,16 +99,100 @@ def _hook_key(label):
     raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
+# to_bytes writes the words little-endian; memoryview.cast reads native order
+_CAST_WORDS = sys.byteorder == "little"
+
+
+@lru_cache(maxsize=1024)
+def _repunit_word(m, bits):
+    """The q-integer [m] = 1 + q + ... + q^(m-1) at q = 2^bits."""
+    return ((1 << bits * m) - 1) // ((1 << bits) - 1)
+
+
+@lru_cache(maxsize=64)
+def _qfactorial_word(n, bits):
+    """The q-factorial [n]! = [1][2]...[n] at q = 2^bits."""
+    return prod(map(_repunit_word, range(2, n + 1), repeat(bits)))
+
+
+def _words(value, bits, count):
+    """The list of the count base-2^bits digits of the int value, lowest
+    first, for 0 <= value < 2^(bits * count): one memoryview cast for
+    bits = 64, else one int.from_bytes per digit."""
+    raw = value.to_bytes(count * bits // 8, "little")
+    if bits == 64 and _CAST_WORDS:
+        return memoryview(raw).cast("Q").tolist()
+    step = bits // 8
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+
+
+def _poly(words, low):
+    """The polynomial with coefficient words[i] at q^(low + i), zeros dropped."""
+    coeffs = dict(zip(range(low, low + len(words)), words))
+    if 0 in words:
+        coeffs = {e: c for e, c in coeffs.items() if c}
+    return LaurentPoly._from_ints(coeffs)
+
+
+@lru_cache(maxsize=4096)
+def _hook_word(n, hooks):
+    """(word, bits, deg, d) with word = K(2^bits) for K = [n]! / prod over
+    hooks h of [h], [m] = 1 + q + ... + q^(m-1), or None when the word fails
+    its certificate.  That quotient is (1-q)...(1-q^n) / prod (1 - q^h) when
+    there are n hooks, and deg = n(n-1)/2 - sum (h - 1) is its degree.
+
+    bits is the least multiple of 64 with 2^bits > max(n!, d^2), d = n! /
+    prod h, and word is the quotient of one exact divmod of the cached [n]!
+    word by the product of the cached [h] words.  The word is accepted only
+    with a zero remainder, at most deg + 1 digits in base 2^bits, and a digit
+    sum equal to d.  Then the digits are the coefficients of a polynomial K
+    with nonnegative coefficients and K(1) = d, so each coefficient of
+    K * prod [h] is at most d * prod h = n! < 2^bits, as is each of [n]!.
+    Neither side carries at q = 2^bits and both take the value [n]!(2^bits)
+    there, so K * prod [h] = [n]! as polynomials: K is the exact quotient.
+    Its square needs no check: each coefficient of K^2 is at most
+    K(1)^2 = d^2 < 2^bits, so the digits of word^2 are those of K^2.  K is
+    palindromic of degree deg, because each [m] is, so K(q) K(1/q) =
+    q^-deg K(q)^2.
+
+    No label's hooks fail the certificate.  Other multisets can: a remainder
+    means the polynomials do not divide, and a quotient with a negative
+    coefficient, such as 1 - q + q^2 for the multiset 5,4,3,3,2,2 with n = 6,
+    shows as borrowed digits.  None sends the caller to one_minus_quotient,
+    which decides exactly.
+    """
+    if len(hooks) != n or min(hooks, default=1) < 1:
+        return None
+    top = factorial(n)
+    d, r = divmod(top, prod(hooks))
+    deg = n * (n + 1) // 2 - sum(hooks)
+    if r or deg < 0:
+        return None
+    bits = -(-max(top, d * d).bit_length() // 64) * 64
+    word, r = divmod(_qfactorial_word(n, bits), prod(map(_repunit_word, hooks, repeat(bits))))
+    if r or word >> bits * (deg + 1) or sum(_words(word, bits, deg + 1)) != d:
+        return None
+    return word, bits, deg, d
+
+
 @lru_cache(maxsize=4096)
 def _hook_quotient(n, hooks):
-    return one_minus_quotient(range(1, n + 1), hooks)
+    certified = _hook_word(n, hooks)
+    if certified is None:
+        return one_minus_quotient(range(1, n + 1), hooks)
+    word, bits, deg, _ = certified
+    return _poly(_words(word, bits, deg + 1), 0)
 
 
 @lru_cache(maxsize=4096)
 def _hook_character(n, hooks):
     # (kostka, character, dimension): the fields of a report after its label
     k = _hook_quotient(n, hooks)
-    return k, k * substitute_inverse(k), evaluate_at_one(k)
+    certified = _hook_word(n, hooks)
+    if certified is None:
+        return k, k * substitute_inverse(k), evaluate_at_one(k)
+    word, bits, deg, d = certified
+    return k, _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
 
 
 def kostka(label):

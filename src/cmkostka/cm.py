@@ -243,8 +243,11 @@ class RationalMatrix:
         return pivots
 
     def rank(self):
-        """Exact rank: the number of Bareiss pivot columns."""
-        return len(self._pivot_columns())
+        """Exact rank: the number of Bareiss pivot columns of the matrix, or
+        of its transpose when it has more rows than columns.  Rank is
+        unchanged under transposition, and the elimination then runs along
+        the shorter side."""
+        return len((self.transpose() if self.rows > self.cols else self)._pivot_columns())
 
     def charpoly(self):
         """Monic characteristic polynomial det(zI - A), coefficients low to high.
@@ -558,14 +561,23 @@ def verify_cm(x, y):
     the first nonzero row of m and column divides column c of m by the row's
     first nonzero entry, both read off m's integer rows, with one Fraction
     per distinct value.
+
+    No elimination runs: m has rank one exactly when it has a nonzero row
+    irow and every row r satisfies r * irow[c] == irow * r[c], c the first
+    nonzero column of irow, which says that r is r[c] / irow[c] times irow.
     """
     m = commutator_plus_identity(x, y)
-    if m.rank() != 1:
-        return False, m, None
     den, ints = m._den, m._ints
-    irow = next(row for row in ints if any(row))
+    irow = next((row for row in ints if any(row)), None)
+    if irow is None:
+        return False, m, None
     c = next(j for j, v in enumerate(irow) if v)
-    return True, m, (_fractions([r[c] for r in ints], irow[c]), _fractions(irow, den))
+    pivot = irow[c]
+    for row in ints:
+        t = row[c]
+        if row != irow and any(v * pivot != u * t for v, u in zip(row, irow)):
+            return False, m, None
+    return True, m, (_fractions([r[c] for r in ints], pivot), _fractions(irow, den))
 
 
 def _fractions(numerators, den):

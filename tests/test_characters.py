@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 import weakref
 from collections import Counter
 from itertools import chain
@@ -36,6 +37,7 @@ from cmkostka.partitions import (
 )
 from cmkostka.qpoly import (
     LaurentPoly,
+    NonExactDivision,
     evaluate_at_one,
     exact_divide,
     one_minus_q,
@@ -141,8 +143,7 @@ def _memo_labels():
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 def test_memoised_kostka_matches_fresh_quotient(cache):
     if cache == "cold":
-        characters._hook_quotient.cache_clear()
-        characters._hook_character.cache_clear()
+        _clear_hook_caches()
         partitions_module._hook_lengths.cache_clear()
     else:
         for label, _ in _memo_labels():
@@ -195,8 +196,7 @@ def test_report_dimension_matches_the_tableau_oracle(cache):
     labels = [lam for n in range(15) for lam in enumerate_partitions(n)]
     labels += [gp for n in range(7) for gp in enumerate_gamma_partitions(3, n)]
     if cache == "cold":
-        characters._hook_quotient.cache_clear()
-        characters._hook_character.cache_clear()
+        _clear_hook_caches()
         partitions_module._hook_lengths.cache_clear()
     else:
         for label in labels:
@@ -262,10 +262,99 @@ def test_character_report_is_a_frozen_slotted_dataclass():
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, characters._hook_character, partitions_module._hook_lengths,
+    for cached in (characters._hook_quotient, characters._hook_character, characters._hook_word,
+                   characters._repunit_word, characters._qfactorial_word, partitions_module._hook_lengths,
                    partitions_module._partitions_of, partitions_module._gamma_partitions_of, schur._pieri_level,
                    qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
+
+
+# -- the word kernel against the dense quotient and the schoolbook character
+
+
+def _clear_hook_caches():
+    for cached in (characters._hook_quotient, characters._hook_character, characters._hook_word,
+                   characters._repunit_word, characters._qfactorial_word):
+        cached.cache_clear()
+
+
+def _dense_payload(n, hooks):
+    """(kostka, character, dimension) from one_minus_quotient and K * K(1/q),
+    with no word arithmetic."""
+    k = one_minus_quotient(range(1, n + 1), hooks)
+    return k, k * substitute_inverse(k), evaluate_at_one(k)
+
+
+def _assert_word_matches_dense(keys, bits):
+    _clear_hook_caches()
+    for key in keys:
+        certified = characters._hook_word(*key)
+        assert certified is not None and certified[1] == bits, key
+        assert characters._hook_character(*key) == _dense_payload(*key), key
+        assert characters._hook_quotient(*key) is characters._hook_character(*key)[0]
+
+
+def _label_keys(partition_sizes, wreath_pairs=()):
+    labels = [lam for n in partition_sizes for lam in enumerate_partitions(n)]
+    labels += [gp for N, n in wreath_pairs for gp in enumerate_gamma_partitions(N, n)]
+    return list(dict.fromkeys(map(characters._hook_key, labels)))
+
+
+def test_word_kernel_matches_dense_quotient_on_every_small_label():
+    # every partition of n <= 14 and every wreath label with N <= 3, n <= 6
+    wreath = [(N, n) for N in (1, 2, 3) for n in range(7)]
+    _assert_word_matches_dense(_label_keys(range(15), wreath), 64)
+
+
+def test_word_kernel_matches_dense_quotient_on_wide_words():
+    # n >= 21: n! >= 2^64, so two 64-bit halves per word
+    rng = random.Random(2125)
+    sampled = [lam for n in range(21, 25) for lam in rng.sample(enumerate_partitions(n), 12)]
+    _assert_word_matches_dense(list(dict.fromkeys(map(characters._hook_key, sampled))), 128)
+    # sixteen single boxes: d = 16! < 2^64 but d^2 >= 2^64
+    singles = GammaPartition((Partition((1,)),) * 16)
+    assert gamma_dimension(singles) ** 2 >= 2**64 > factorial(16)
+    _assert_word_matches_dense([characters._hook_key(singles)], 128)
+
+
+def test_words_are_64_bits_up_to_the_cli_caps():
+    # every partition of n <= 20 and every wreath label the batch caps admit
+    keys = _label_keys(range(21), [(N, n) for N in range(1, 5) for n in range(11)])
+    assert {characters._hook_word(*key)[1] for key in keys} == {64}
+
+
+def test_word_kernel_falls_back_to_the_dense_quotient():
+    # not hooks of a label: the quotient 1 - q + q^2 borrows digits at q = 2^64
+    _clear_hook_caches()
+    assert characters._hook_word(6, (5, 4, 3, 3, 2, 2)) is None
+    k, ch, dim = characters._hook_character(6, (5, 4, 3, 3, 2, 2))
+    assert k.coeffs == {0: 1, 1: -1, 2: 1} and characters._hook_quotient(6, (5, 4, 3, 3, 2, 2)) is k
+    assert (k, ch, dim) == _dense_payload(6, (5, 4, 3, 3, 2, 2))
+    # 3,3,1,1 leaves a remainder; the fallback raises as one_minus_quotient does
+    assert characters._hook_word(4, (3, 3, 1, 1)) is None
+    with pytest.raises(NonExactDivision) as dense:
+        one_minus_quotient(range(1, 5), (3, 3, 1, 1))
+    for cached in (characters._hook_quotient, characters._hook_character):
+        with pytest.raises(NonExactDivision) as raised:
+            cached(4, (3, 3, 1, 1))
+        assert str(raised.value) == str(dense.value) and raised.value.remainder == dense.value.remainder
+
+
+def test_fresh_character_multiplies_no_polynomials(monkeypatch):
+    calls = []
+    genuine = LaurentPoly.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return genuine(self, other)
+
+    _clear_hook_caches()
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    for label in (Partition((5, 3, 2, 1)), GammaPartition((Partition((2, 1)), Partition(()), Partition((3,))))):
+        report = character(label)
+        assert calls == []
+        # the check calls the genuine product, not the spy
+        assert report.character == genuine(report.kostka, substitute_inverse(report.kostka))
 
 
 def _summed_character_sides(n, N=None):

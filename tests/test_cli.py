@@ -579,6 +579,9 @@ CLI_DIGESTS = [
     ("character --n 5 --json", "1bd651f8202acc4ee82091e76592ed3203142a1100f56ed79eb89da7a5bb0769"),
     ("character --N 2 --n 3", "32f771d31b714345c3402475ffe278c61684203f802299a40db95e13cda55f2d"),
     ("character --N 2 --n 3 --json", "0d1e871e9116e249cda138a9b8dfce7f313cb9653fcfb13bb82a0fb9fd828c80"),
+    # the batch cap, and the last n whose Kostka words are 64 bits wide (20! < 2^64 < 21!)
+    ("character --n 20", "4abaa219c924bcb1c78d9de25236be365145a4a01eabe8f971b8ea93b700b461"),
+    ("character --n 20 --json", "1d67bd14b25289e48a7c19fe9e9a3d824881ddd46854239874f094bccf16046c"),
     # a batch in which many labels share one hook multiset, hence one cached character
     ("character --N 4 --n 6", "9abae64aa392f9771503d4e38cbd233719b259335309e55f3ca6e87658715940"),
     ("character --N 4 --n 6 --json", "c3c9ca3d3aba63bfab25a33323aafe81449fb03c3bf3c5eb2c1379654b3dd74d"),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -398,6 +399,28 @@ def test_pivot_columns_match_fraction_elimination():
     assert [a.rank() for a in embedded] == [12, 20]
 
 
+def test_rank_eliminates_along_the_shorter_side(monkeypatch):
+    rng = random.Random(2031)
+    shapes = [a for a in _pivot_shapes(rng) if a.rows != a.cols]
+    # tall 2n x n embedded bases over one common denominator
+    shapes += [wilson_embed(_seeded_point(rng, n)).subspace for n in (6, 12)]
+    for a in shapes:
+        assert a.rank() == a.transpose().rank() == len(_fraction_pivot_columns(a))
+    eliminated = []
+    genuine = RationalMatrix._pivot_columns
+
+    def spy(self):
+        eliminated.append((self.rows, self.cols))
+        return genuine(self)
+
+    monkeypatch.setattr(RationalMatrix, "_pivot_columns", spy)
+    for a in shapes:
+        a.rank()
+        a.transpose().rank()
+    assert len(eliminated) == 2 * len(shapes)
+    assert all(rows < cols for rows, cols in eliminated)
+
+
 def test_charpoly_golden():
     assert RationalMatrix.diagonal([0, 1]).charpoly() == (0, -1, 1)
     assert RationalMatrix([[0, -1], [1, 0]]).charpoly() == (1, 0, 1)
@@ -511,6 +534,32 @@ def test_verify_cm_on_normal_form():
     ok, m, (column, row) = verify_cm(*wilson_representative(CMPointRegular([0, 1, 3, Fraction(-1, 2), 7], [1] * 5)))
     assert ok and column == row == (Fraction(1),) * 5
     assert len(set(map(id, column))) == len(set(map(id, row))) == 1
+
+
+@st.composite
+def rank_at_most_two_matrices(draw):
+    """Square matrices that are zero, one integer outer product u v^T, or a
+    sum of two, over a drawn common denominator."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vector = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    rows = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        u, v = draw(vector), draw(vector)
+        rows = [[x + a * b for x, b in zip(row, v)] for row, a in zip(rows, u)]
+    return RationalMatrix(rows).scaled(draw(st.sampled_from((1, Fraction(1, 3), Fraction(5, 2)))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(rank_at_most_two_matrices())
+def test_rank_one_verdict_matches_exact_rank(m):
+    with unittest.mock.patch.object(cm, "commutator_plus_identity", lambda x, y: m):
+        ok, held, witness = verify_cm(None, None)
+    assert held is m and ok == (m.rank() == 1)
+    if ok:
+        column, row = witness
+        assert all(column[i] * row[j] == v for i, r in enumerate(m.entries) for j, v in enumerate(r))
+    else:
+        assert witness is None
 
 
 def test_rank_one_holds_beyond_two_points():
@@ -1323,8 +1372,7 @@ def test_held_images_match_fraction_horner_at_every_root():
         s = embedded._scale
         roots = [int(y_k * s) for y_k in point.y]
         assert list(embedded._images) == roots
-        # exact Bareiss rank, on the n x 2n transpose: the 2n x n form takes 15x as long at n = 20
-        assert embedded.subspace.transpose().rank() == n
+        assert embedded.subspace.rank() == n
         for j, (column, y_j) in enumerate(zip(zip(*embedded.subspace.entries), point.y)):
             # the held image in w over the column's denominator, d/dz = s d/dw
             val, der = embedded._images[roots[j]]
