@@ -22,9 +22,8 @@ division of the cached q-factorial word by the product of cached q-integer
 words, certified by its remainder, its length and its digit sum.  K's
 coefficients are that word's base-2^bits digits, and the character's are
 the digits of its square, each unpacked by one to_bytes call; for bits = 64
-one memoryview cast reads them all.  A key whose word fails the
-certificate, which no label's hooks do, falls back to the dense
-one_minus_quotient and the product K * K(1/q).
+one memoryview cast reads them all.  A multiset whose word fails the
+certificate raises NonExactDivision; no label's hooks do.
 """
 
 import sys
@@ -34,14 +33,7 @@ from itertools import repeat
 from math import factorial, prod
 
 from .partitions import GammaPartition, Partition, hook_lengths
-from .qpoly import (
-    LaurentPoly,
-    evaluate_at_one,
-    geometric_product_series,
-    one_minus_quotient,
-    qfactorial_product,
-    substitute_inverse,
-)
+from .qpoly import LaurentPoly, NonExactDivision, geometric_product_series, qfactorial_product
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +129,10 @@ def _poly(words, low):
 @lru_cache(maxsize=4096)
 def _hook_word(n, hooks):
     """(word, bits, deg, d) with word = K(2^bits) for K = [n]! / prod over
-    hooks h of [h], [m] = 1 + q + ... + q^(m-1), or None when the word fails
-    its certificate.  That quotient is (1-q)...(1-q^n) / prod (1 - q^h) when
-    there are n hooks, and deg = n(n-1)/2 - sum (h - 1) is its degree.
+    hooks h of [h], [m] = 1 + q + ... + q^(m-1), or raise NonExactDivision
+    when the word fails its certificate.  That quotient is (1-q)...(1-q^n) /
+    prod (1 - q^h) when there are n hooks, and deg = n(n-1)/2 - sum (h - 1)
+    is its degree.
 
     bits is the least multiple of 64 with 2^bits > max(n!, d^2), d = n! /
     prod h, and word is the quotient of one exact divmod of the cached [n]!
@@ -155,44 +148,43 @@ def _hook_word(n, hooks):
     palindromic of degree deg, because each [m] is, so K(q) K(1/q) =
     q^-deg K(q)^2.
 
-    No label's hooks fail the certificate.  Other multisets can: a remainder
-    means the polynomials do not divide, and a quotient with a negative
-    coefficient, such as 1 - q + q^2 for the multiset 5,4,3,3,2,2 with n = 6,
-    shows as borrowed digits.  None sends the caller to one_minus_quotient,
-    which decides exactly.
+    Every label's hooks pass.  For a partition of n, K is the generating
+    function of its standard tableaux by major index, shifted to constant
+    term 1 (the q-hook length formula, Stanley, Enumerative Combinatorics 2,
+    7.21.5): a polynomial with nonnegative coefficients summing to the
+    tableau count d.  For a wreath label whose components have sizes
+    n_1, ..., n_N, K is the q-multinomial [n]! / ([n_1]! ... [n_N]!), whose
+    coefficients count words by inversions, times each component's own
+    such quotient: again nonnegative, with value at 1 the multinomial times
+    the components' tableau counts, which is d.  Each coefficient is then
+    at most d < 2^bits, so the word's digits are K's coefficients and the
+    certificate holds.  Other multisets can fail: 3,3,1,1 with n = 4 leaves
+    a remainder, and 5,4,3,3,2,2 with n = 6 has the quotient 1 - q + q^2,
+    whose negative coefficient shows as borrowed digits.
     """
-    if len(hooks) != n or min(hooks, default=1) < 1:
-        return None
-    top = factorial(n)
-    d, r = divmod(top, prod(hooks))
-    deg = n * (n + 1) // 2 - sum(hooks)
-    if r or deg < 0:
-        return None
-    bits = -(-max(top, d * d).bit_length() // 64) * 64
-    word, r = divmod(_qfactorial_word(n, bits), prod(map(_repunit_word, hooks, repeat(bits))))
-    if r or word >> bits * (deg + 1) or sum(_words(word, bits, deg + 1)) != d:
-        return None
-    return word, bits, deg, d
+    if len(hooks) == n and min(hooks, default=1) >= 1:
+        top = factorial(n)
+        d, r = divmod(top, prod(hooks))
+        deg = n * (n + 1) // 2 - sum(hooks)
+        if not r and deg >= 0:
+            bits = -(-max(top, d * d).bit_length() // 64) * 64
+            word, r = divmod(_qfactorial_word(n, bits), prod(map(_repunit_word, hooks, repeat(bits))))
+            if not r and not word >> bits * (deg + 1) and sum(_words(word, bits, deg + 1)) == d:
+                return word, bits, deg, d
+    raise NonExactDivision(f"n = {n}, hooks {hooks}: no label has these hooks; the word fails its certificate", {})
 
 
 @lru_cache(maxsize=4096)
 def _hook_quotient(n, hooks):
-    certified = _hook_word(n, hooks)
-    if certified is None:
-        return one_minus_quotient(range(1, n + 1), hooks)
-    word, bits, deg, _ = certified
+    word, bits, deg, _ = _hook_word(n, hooks)
     return _poly(_words(word, bits, deg + 1), 0)
 
 
 @lru_cache(maxsize=4096)
 def _hook_character(n, hooks):
     # (kostka, character, dimension): the fields of a report after its label
-    k = _hook_quotient(n, hooks)
-    certified = _hook_word(n, hooks)
-    if certified is None:
-        return k, k * substitute_inverse(k), evaluate_at_one(k)
-    word, bits, deg, d = certified
-    return k, _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
+    word, bits, deg, d = _hook_word(n, hooks)
+    return _hook_quotient(n, hooks), _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
 
 
 def kostka(label):

@@ -1,18 +1,14 @@
 """Exact Laurent polynomials in one variable q with integer coefficients.
 
 Coefficients are Python ints (arbitrary precision), stored sparsely as an
-exponent -> coefficient map with no zero entries.  Storage stays sparse for
-every operation; a product picks its path from its factors: a schoolbook
-double loop over the terms when a factor has few terms or the factors are
-sparse over their exponent span, and otherwise Kronecker substitution, one
-big-integer product of the factors evaluated at a power of two.  Division is
-exact or it raises; there is no floating point anywhere.  The q-factorials
-and the q-multinomials are each built once, in bounded caches read only
-after operator.index has validated the arguments.
+exponent -> coefficient map with no zero entries, for every operation.  A
+product is the schoolbook double loop over the terms.  Division is exact or
+it raises; there is no floating point anywhere.  The q-factorials and the
+q-multinomials are each built once, in bounded caches read only after
+operator.index has validated the arguments.
 """
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
@@ -29,11 +25,6 @@ class NonExactDivision(ArithmeticError):
         super().__init__(message)
         self.remainder = dict(remainder)
 
-
-# A product with a factor of at most this many terms takes the schoolbook
-# loop: below it, packing and unpacking the Kronecker integers costs more
-# than the loop saves.
-_SCHOOLBOOK_TERMS = 8
 
 # str(k) for an int k: no sign on zero, no leading zeros, ASCII digits only
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
@@ -109,24 +100,11 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product, by one of two paths chosen from the factors; either
-        way the result is stored sparsely, like its factors.
-
-        Kronecker substitution (_kronecker_mul) when both factors have more
-        than _SCHOOLBOOK_TERMS terms and the product's exponent span is below
-        the number of term pairs, so that the packed integers are not mostly
-        zero digits.  Otherwise, for small or sparse factors, the schoolbook
-        double loop over the terms.
-        """
-        a, b = self.coeffs, other.coeffs
-        if len(a) > _SCHOOLBOOK_TERMS and len(b) > _SCHOOLBOOK_TERMS:
-            a_min, b_min = min(a), min(b)
-            span = max(a) - a_min + max(b) - b_min
-            if span < len(a) * len(b):
-                return LaurentPoly._from_ints(_kronecker_mul(a, a_min, b, b_min, span))
+        """The product, by the schoolbook double loop over the terms; stored
+        sparsely, like its factors."""
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s == 0:
@@ -134,18 +112,6 @@ class LaurentPoly:
                 else:
                     out[e] = s
         return LaurentPoly._from_ints(out)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def min_exponent(self):
         if not self.coeffs:
@@ -209,41 +175,6 @@ def _decimal(text):
     if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
         raise TypeError(f"expected a decimal integer string, got {type(text).__name__} {text!r}")
     return int(text)
-
-
-def _kronecker_mul(a, a_min, b, b_min, span):
-    """Product of two nonzero exponent -> int maps with least exponents a_min
-    and b_min and product exponent span span, as a map with no zero values.
-
-    Each factor, shifted to start at q^0, is evaluated at q = 2^bits; the
-    integer product's signed base-2^bits digits, read from the lowest up,
-    are the product's coefficients.  No coefficient exceeds
-    bound = min(len(a), len(b)) * max|a| * max|b| in size, so bits =
-    bound.bit_length() + 1 leaves every digit in [-2^(bits-1), 2^(bits-1)).
-    """
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    bits = bound.bit_length() + 1
-    product = _evaluate_at_power_of_two(a, a_min, bits) * _evaluate_at_power_of_two(b, b_min, bits)
-    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-    out = {}
-    for e in range(a_min + b_min, a_min + b_min + span + 1):
-        d = product & mask
-        product >>= bits
-        if d >= half:  # a negative digit borrows one from the digits above
-            d -= base
-            product += 1
-        if d:
-            out[e] = d
-    return out
-
-
-def _evaluate_at_power_of_two(coeffs, low, bits):
-    """Sum of c * 2^(bits * (e - low)) over the terms, by Horner's rule."""
-    value = 0
-    get = coeffs.get
-    for e in range(max(coeffs), low - 1, -1):
-        value = (value << bits) + get(e, 0)
-    return value
 
 
 # The q-factorial and q-multinomial caches below are bounded, and each
@@ -315,36 +246,6 @@ def exact_divide(a, b):
         raise NonExactDivision("quotient has non-integer coefficients", {})
     shift = a_min - b_min
     return LaurentPoly({e + shift: int(c) for e, c in quotient.items()})
-
-
-def one_minus_quotient(tops, bottoms):
-    """prod over t in tops of (1 - q^t), divided exactly by prod over b in
-    bottoms of (1 - q^b), or raise NonExactDivision.
-
-    Factors shared by the two multisets cancel first.  The rest is integer
-    arithmetic on a dense coefficient list: multiplying by 1 - q^t is
-    c[k] -= c[k-t], and dividing by 1 - q^b is c[k] += c[k-b] in increasing k,
-    which is exact when the top b coefficients then vanish.
-    """
-    count = Counter(tops)
-    count.subtract(bottoms)
-    if any(e < 1 for e in count):
-        raise ValueError(f"exponents must be positive, got {sorted(count)}")
-    coeffs = [1] + [0] * sum(e * m for e, m in count.items() if m > 0)
-    deg = 0
-    for t in count.elements():
-        deg += t
-        for k in range(deg, t - 1, -1):
-            coeffs[k] -= coeffs[k - t]
-    for b, m in count.items():
-        for _ in range(-m):
-            for k in range(b, deg + 1):
-                coeffs[k] += coeffs[k - b]
-            left = {k: coeffs[k] for k in range(max(deg - b + 1, 0), deg + 1) if coeffs[k]}
-            if left:
-                raise NonExactDivision(f"1 - q^{b} leaves remainder with exponents {sorted(left)}", left)
-            deg -= b
-    return LaurentPoly._from_ints({k: c for k, c in enumerate(coeffs[: deg + 1]) if c})
 
 
 def substitute_inverse(a):

@@ -10,6 +10,7 @@ from itertools import chain
 from math import factorial, prod
 
 import pytest
+from _oracles import one_minus_quotient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +42,6 @@ from cmkostka.qpoly import (
     evaluate_at_one,
     exact_divide,
     one_minus_q,
-    one_minus_quotient,
     qfactorial_product,
     qmultinomial,
     substitute_inverse,
@@ -288,8 +288,7 @@ def _dense_payload(n, hooks):
 def _assert_word_matches_dense(keys, bits):
     _clear_hook_caches()
     for key in keys:
-        certified = characters._hook_word(*key)
-        assert certified is not None and certified[1] == bits, key
+        assert characters._hook_word(*key)[1] == bits, key
         assert characters._hook_character(*key) == _dense_payload(*key), key
         assert characters._hook_quotient(*key) is characters._hook_character(*key)[0]
 
@@ -323,21 +322,20 @@ def test_words_are_64_bits_up_to_the_cli_caps():
     assert {characters._hook_word(*key)[1] for key in keys} == {64}
 
 
-def test_word_kernel_falls_back_to_the_dense_quotient():
-    # not hooks of a label: the quotient 1 - q + q^2 borrows digits at q = 2^64
-    _clear_hook_caches()
-    assert characters._hook_word(6, (5, 4, 3, 3, 2, 2)) is None
-    k, ch, dim = characters._hook_character(6, (5, 4, 3, 3, 2, 2))
-    assert k.coeffs == {0: 1, 1: -1, 2: 1} and characters._hook_quotient(6, (5, 4, 3, 3, 2, 2)) is k
-    assert (k, ch, dim) == _dense_payload(6, (5, 4, 3, 3, 2, 2))
-    # 3,3,1,1 leaves a remainder; the fallback raises as one_minus_quotient does
-    assert characters._hook_word(4, (3, 3, 1, 1)) is None
-    with pytest.raises(NonExactDivision) as dense:
+def test_word_kernel_rejects_multisets_that_are_no_labels_hooks():
+    # 5,4,3,3,2,2 with n = 6 divides, but the quotient 1 - q + q^2 borrows
+    # digits at q = 2^64; 3,3,1,1 with n = 4 leaves a remainder
+    assert one_minus_quotient(range(1, 7), (5, 4, 3, 3, 2, 2)).coeffs == {0: 1, 1: -1, 2: 1}
+    with pytest.raises(NonExactDivision):
         one_minus_quotient(range(1, 5), (3, 3, 1, 1))
-    for cached in (characters._hook_quotient, characters._hook_character):
-        with pytest.raises(NonExactDivision) as raised:
-            cached(4, (3, 3, 1, 1))
-        assert str(raised.value) == str(dense.value) and raised.value.remainder == dense.value.remainder
+    _clear_hook_caches()
+    # the last two fail the input guard: a hook count other than n, a hook below 1
+    for n, hooks in ((6, (5, 4, 3, 3, 2, 2)), (4, (3, 3, 1, 1)), (3, (3,)), (2, (2, 0))):
+        for cached in (characters._hook_word, characters._hook_quotient, characters._hook_character):
+            with pytest.raises(NonExactDivision) as raised:
+                cached(n, hooks)
+            assert str(raised.value) == f"n = {n}, hooks {hooks}: no label has these hooks; the word fails its certificate"
+            assert raised.value.remainder == {}
 
 
 def test_fresh_character_multiplies_no_polynomials(monkeypatch):
@@ -510,9 +508,8 @@ def _localized_character(tangent, n):
     or None when T is not a multiset of nonzero weights."""
     if any(m < 0 for m in tangent.coeffs.values()) or 0 in tangent.coeffs:
         return None
-    weights = LaurentPoly.one()
-    for w, m in tangent.coeffs.items():
-        weights = weights * LaurentPoly({0: 1, w: -1}) ** m
+    factors = [LaurentPoly({0: 1, w: -1}) for w, m in tangent.coeffs.items() for _ in range(m)]
+    weights = prod(factors, start=LaurentPoly.one())
     numerator = qfactorial_product(n) * substitute_inverse(qfactorial_product(n))
     return exact_divide(numerator, weights)
 

@@ -3,24 +3,22 @@
 import copy
 import json
 import pickle
-import time
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from _oracles import one_minus_quotient
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmkostka import qpoly
 from cmkostka.qpoly import (
-    _SCHOOLBOOK_TERMS,
     LaurentPoly,
     NonExactDivision,
     evaluate_at_one,
     exact_divide,
     geometric_product_series,
     one_minus_q,
-    one_minus_quotient,
     qfactorial_product,
     qmultinomial,
     substitute_inverse,
@@ -66,46 +64,35 @@ def test_addition_cancels():
 def test_multiplication_golden():
     one_plus_q = LaurentPoly({0: 1, 1: 1})
     assert (one_plus_q * one_minus_q(1)).coeffs == {0: 1, 2: -1}
-    assert (one_plus_q**2).coeffs == {0: 1, 1: 2, 2: 1}
-    assert (one_plus_q**0) == LaurentPoly.one()
-    with pytest.raises(ValueError):
-        one_plus_q ** (-1)
+    assert (one_plus_q * one_plus_q).coeffs == {0: 1, 1: 2, 2: 1}
+    assert one_plus_q * LaurentPoly.one() == one_plus_q
 
 
-def _schoolbook_mul(a, b):
-    """The double loop over the terms, on exponent maps: the earlier
-    LaurentPoly.__mul__, kept as an oracle for both product paths."""
-    out = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+def _dense_convolution(a, b):
+    """a * b as an exponent map, by convolving dense coefficient lists: each
+    factor is q^low times a polynomial in q^g, g the gcd of the exponent gaps
+    of both factors, and the two lists of that polynomial's coefficients are
+    convolved.  Shares no code with LaurentPoly.__mul__."""
+    if a.is_zero() or b.is_zero():
+        return {}
+    a_low, b_low = a.min_exponent(), b.min_exponent()
+    g = gcd(*(e - a_low for e in a.coeffs), *(e - b_low for e in b.coeffs)) or 1
+    xs, ys = ([p.coeffs.get(low + g * i, 0) for i in range((p.max_exponent() - low) // g + 1)]
+              for p, low in ((a, a_low), (b, b_low)))
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return {a_low + b_low + g * k: c for k, c in enumerate(out) if c}
 
 
 def _assert_product_matches_oracle(a, b):
     product = a * b
-    expected = LaurentPoly(_schoolbook_mul(a, b))
+    expected = LaurentPoly(_dense_convolution(a, b))
     assert product == expected
     assert hash(product) == hash(expected)
     assert all(type(c) is int and c != 0 for c in product.coeffs.values())
     return product
-
-
-def _kronecker_calls(monkeypatch):
-    calls = []
-    real = qpoly._kronecker_mul
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(qpoly, "_kronecker_mul", spy)
-    return calls
 
 
 def _dense(n, start=0, coeff=lambda i: i + 1):
@@ -113,47 +100,17 @@ def _dense(n, start=0, coeff=lambda i: i + 1):
     return LaurentPoly({start + i: coeff(i) for i in range(n)})
 
 
-def _spread(n, top):
-    """n terms at q^0, q^1, ..., q^(n-2) and one at q^top."""
-    return LaurentPoly({**{i: i + 1 for i in range(n - 1)}, top: -n})
-
-
-T = _SCHOOLBOOK_TERMS
-PAIRS = (T + 1) ** 2  # term pairs of two (T + 1)-term factors
-PRODUCT_PATHS = [
-    # (a, b, takes the Kronecker path)
-    (LaurentPoly.zero(), _dense(30), False),
-    (LaurentPoly.term(-7, 3), _dense(30), False),
-    (_dense(T), _dense(40, start=-20), False),
-    (_dense(40, start=-20), _dense(T), False),
-    (_dense(T + 1), _dense(T + 1, start=-5, coeff=lambda i: (-1) ** i * 10**30), True),
-    # product exponent spans PAIRS - 1 and PAIRS: one below the number of
-    # term pairs, and equal to it
-    (_dense(T + 1), _spread(T + 1, PAIRS - 1 - T), True),
-    (_dense(T + 1), _spread(T + 1, PAIRS - T), False),
-    (_spread(T + 1, PAIRS - T).shifted(-9), _dense(T + 1, start=4), False),
-]
-
-
-@pytest.mark.parametrize("a, b, kronecker", PRODUCT_PATHS)
-def test_product_paths_match_schoolbook_oracle(monkeypatch, a, b, kronecker):
-    calls = _kronecker_calls(monkeypatch)
-    _assert_product_matches_oracle(a, b)
-    assert len(calls) == kronecker
-
-
-@pytest.mark.parametrize("k", [1, 5, T, T + 1, 30])
+@pytest.mark.parametrize("k", [1, 5, 8, 9, 30])
 def test_product_cancellation(k):
     run = LaurentPoly({i: 1 for i in range(k + 1)})
     assert _assert_product_matches_oracle(run, one_minus_q(1)) == LaurentPoly({0: 1, k + 1: -1})
-    # (1 - q) * c has len(c) + 1 terms, so both factors take the Kronecker
-    # path when they are long enough; the product keeps only 1 - q^(k+1) times c
+    # the product keeps only 1 - q^(k+1) times c
     c = _dense(12)
     product = _assert_product_matches_oracle(run, one_minus_q(1) * c)
     assert product == c - c.shifted(k + 1)
 
 
-@pytest.mark.parametrize("t", [T + 1, T + 4, 31])
+@pytest.mark.parametrize("t", [9, 12, 31])
 @pytest.mark.parametrize("m", [2**5 - 1, 2**5, 2**64 - 1, 2**64, 10**40], ids=["2^5-1", "2^5", "2^64-1", "2^64", "10^40"])
 def test_product_coefficient_bound_is_tight(t, m):
     # the middle coefficient t * m^2 is exactly min(terms) * max|a| * max|b|
@@ -173,21 +130,17 @@ wide_laurent_polys = st.builds(
 
 
 @given(wide_laurent_polys, wide_laurent_polys)
+@example(LaurentPoly.zero(), _dense(30))
+@example(LaurentPoly.term(-7, 3), _dense(30))
+@example(_dense(9), _dense(9, start=-5, coeff=lambda i: (-1) ** i * 10**30))
+# sparse over a wide span: twenty terms each, 10^5 apart
+@example(
+    LaurentPoly({10**5 * i: (-1) ** i * (i + 1) for i in range(20)}),
+    LaurentPoly({10**5 * i - 7: 3 * i + 1 for i in range(20)}),
+)
 def test_product_matches_schoolbook_oracle(a, b):
     _assert_product_matches_oracle(a, b)
     _assert_product_matches_oracle(b, a)
-
-
-def test_sparse_wide_product_takes_the_schoolbook_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a sparse product was packed for Kronecker substitution")
-
-    monkeypatch.setattr(qpoly, "_kronecker_mul", refuse)
-    a = LaurentPoly({10**5 * i: (-1) ** i * (i + 1) for i in range(20)})
-    b = LaurentPoly({10**5 * i - 7: 3 * i + 1 for i in range(20)})
-    start = time.perf_counter()
-    _assert_product_matches_oracle(a, b)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_shift_truncate_exponents():
