@@ -3,27 +3,14 @@
 The normalization used throughout: K has constant term 1, and the weight of
 the line spanned by z^a under the contracting torus action is -a.
 
-The hook formula sees only a label's hook multiset, one hook per cell, so
-everything here is built once per (n, hooks) key, n the hook count and the
-hooks a decreasing tuple, in bounded caches: the Kostka polynomial in one,
-and in a second one payload of Kostka polynomial, zero-fiber character
-K(q) K(1/q) and dimension K(1).  A wreath label's hooks are its components'
-hook tuples joined and sorted once.
-Callers therefore receive shared results: conjugate partitions and wreath
-labels that differ only in slot order get the same LaurentPoly objects,
-which are immutable.  A diagram and its transpose also share one entry of
-the hook cache in partitions, so the second of a conjugate pair computes no
-hooks.  Every CharacterReport that character() returns comes from one
-builder, _report, which sets the frozen report's slots directly.
-
-Both polynomials of a key come from one word, K at q = 2^bits, held per key
-in a third bounded cache (_hook_word): the quotient of one exact integer
-division of the cached q-factorial word by the product of cached q-integer
-words, certified by its remainder, its length and its digit sum.  K's
-coefficients are that word's base-2^bits digits, and the character's are
-the digits of its square, each unpacked by one to_bytes call; for bits = 64
-one memoryview cast reads them all.  A multiset whose word fails the
-certificate raises NonExactDivision; no label's hooks do.
+The hook formula sees only a label's hook multiset, so everything here is
+keyed on _hook_key's (n, hooks) and held in two bounded caches.
+_hook_kostka holds the Kostka polynomial with the integer word it is read
+from; kostka and kostka_wreath read it.  _hook_character holds the
+(kostka, character, dimension) payload of a report, built from the first
+cache's entry; only character reads it.  Labels with one hook multiset
+(conjugates, wreath labels that differ only in slot order) therefore
+receive the same LaurentPoly objects, which are immutable.
 """
 
 import sys
@@ -127,26 +114,30 @@ def _poly(words, low):
 
 
 @lru_cache(maxsize=4096)
-def _hook_word(n, hooks):
-    """(word, bits, deg, d) with word = K(2^bits) for K = [n]! / prod over
-    hooks h of [h], [m] = 1 + q + ... + q^(m-1), or raise NonExactDivision
-    when the word fails its certificate.  That quotient is (1-q)...(1-q^n) /
-    prod (1 - q^h) when there are n hooks, and deg = n(n-1)/2 - sum (h - 1)
-    is its degree.
+def _hook_kostka(n, hooks):
+    """(kostka, word, bits, deg, d) for K = [n]! / prod over hooks h of [h],
+    [m] = 1 + q + ... + q^(m-1), with word = K(2^bits), or raise
+    NonExactDivision when the word fails its certificate.  With n hooks K is
+    (1-q)...(1-q^n) / prod (1 - q^h), deg = n(n-1)/2 - sum (h - 1) is its
+    degree and d = n! / prod h its value at 1.
 
-    bits is the least multiple of 64 with 2^bits > max(n!, d^2), d = n! /
-    prod h, and word is the quotient of one exact divmod of the cached [n]!
-    word by the product of the cached [h] words.  The word is accepted only
-    with a zero remainder, at most deg + 1 digits in base 2^bits, and a digit
-    sum equal to d.  Then the digits are the coefficients of a polynomial K
-    with nonnegative coefficients and K(1) = d, so each coefficient of
-    K * prod [h] is at most d * prod h = n! < 2^bits, as is each of [n]!.
-    Neither side carries at q = 2^bits and both take the value [n]!(2^bits)
-    there, so K * prod [h] = [n]! as polynomials: K is the exact quotient.
-    Its square needs no check: each coefficient of K^2 is at most
-    K(1)^2 = d^2 < 2^bits, so the digits of word^2 are those of K^2.  K is
-    palindromic of degree deg, because each [m] is, so K(q) K(1/q) =
-    q^-deg K(q)^2.
+    A multiset passes the guard when it has n hooks, each at least 1, d is
+    an integer and deg >= 0.  bits is then the least multiple of 64 with
+    2^bits > max(n!, d^2), which is 64 for every partition of n <= 20 and
+    every label the CLI batch caps admit, and word is the quotient of one
+    exact divmod of the cached [n]! word by the product of the cached [h]
+    words.  That quotient has at most deg + 1 digits in base 2^bits: each
+    coefficient of [n]! is at most n! < 2^bits, so with D = n(n-1)/2,
+    [n]!(2^bits) < 2^(bits (D + 1)); each [h](2^bits) >= 2^(bits (h - 1));
+    so the quotient is below 2^(bits (D + 1 - sum (h - 1))), which is
+    2^(bits (deg + 1)).
+    One _words call unpacks those deg + 1 digits, and the word is accepted
+    only with a zero remainder and a digit sum equal to d.  Then the digits
+    are the coefficients of a polynomial K with nonnegative coefficients and
+    K(1) = d, so each coefficient of K * prod [h] is at most d * prod h =
+    n! < 2^bits, as is each of [n]!.  Neither side carries at q = 2^bits and
+    both take the value [n]!(2^bits) there, so K * prod [h] = [n]! as
+    polynomials: K is the exact quotient, built from those same digits.
 
     Every label's hooks pass.  For a partition of n, K is the generating
     function of its standard tableaux by major index, shifted to constant
@@ -158,9 +149,15 @@ def _hook_word(n, hooks):
     such quotient: again nonnegative, with value at 1 the multinomial times
     the components' tableau counts, which is d.  Each coefficient is then
     at most d < 2^bits, so the word's digits are K's coefficients and the
-    certificate holds.  Other multisets can fail: 3,3,1,1 with n = 4 leaves
-    a remainder, and 5,4,3,3,2,2 with n = 6 has the quotient 1 - q + q^2,
-    whose negative coefficient shows as borrowed digits.
+    certificate holds.  Other multisets can fail: 3,3,1,1 with n = 4 fails
+    the guard, 2,2,2,1 with n = 4 leaves a remainder, and 5,4,3,3,2,2 with
+    n = 6 has the quotient 1 - q + q^2, whose negative coefficient shows as
+    borrowed digits.
+
+    The character needs no further check: each coefficient of K^2 is at
+    most K(1)^2 = d^2 < 2^bits, so the digits of word^2 are those of K^2.
+    K is palindromic of degree deg, because each [m] is, so
+    K(q) K(1/q) = q^-deg K(q)^2.
     """
     if len(hooks) == n and min(hooks, default=1) >= 1:
         top = factorial(n)
@@ -169,22 +166,18 @@ def _hook_word(n, hooks):
         if not r and deg >= 0:
             bits = -(-max(top, d * d).bit_length() // 64) * 64
             word, r = divmod(_qfactorial_word(n, bits), prod(map(_repunit_word, hooks, repeat(bits))))
-            if not r and not word >> bits * (deg + 1) and sum(_words(word, bits, deg + 1)) == d:
-                return word, bits, deg, d
+            if not r:
+                digits = _words(word, bits, deg + 1)
+                if sum(digits) == d:
+                    return _poly(digits, 0), word, bits, deg, d
     raise NonExactDivision(f"n = {n}, hooks {hooks}: no label has these hooks; the word fails its certificate", {})
-
-
-@lru_cache(maxsize=4096)
-def _hook_quotient(n, hooks):
-    word, bits, deg, _ = _hook_word(n, hooks)
-    return _poly(_words(word, bits, deg + 1), 0)
 
 
 @lru_cache(maxsize=4096)
 def _hook_character(n, hooks):
     # (kostka, character, dimension): the fields of a report after its label
-    word, bits, deg, d = _hook_word(n, hooks)
-    return _hook_quotient(n, hooks), _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
+    k, word, bits, deg, d = _hook_kostka(n, hooks)
+    return k, _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
 
 
 def kostka(label):
@@ -194,12 +187,12 @@ def kostka(label):
     the number of cells; a GammaPartition's cells are those of all its
     components.
     """
-    return _hook_quotient(*_hook_key(label))
+    return _hook_kostka(*_hook_key(label))[0]
 
 
 def kostka_wreath(gp):
     """Wreath Kostka polynomial of an N-tuple of partitions; the same formula as kostka."""
-    return _hook_quotient(*_hook_key(gp))
+    return _hook_kostka(*_hook_key(gp))[0]
 
 
 def character(label):

@@ -1,41 +1,18 @@
 """Exact rational matrix pairs satisfying the rank-one commutator condition.
 
-Everything here is computed over the rationals with no tolerances.  A
-RationalMatrix holds one integer form, a positive common denominator and
-integer rows sharing no factor with it, and every kernel reads and writes
-those integers: sums, scaling and transposes; products, one dot product per
-entry or, for an outer product, one scaled row per entry; the commutator
-YX - XY + Id entrywise, (d_i - d_j) x_ij off the diagonal, when one factor
-is the diagonal matrix (d_i), so the normal form costs O(n^2), and through
-two products otherwise; one fraction-free (Bareiss) elimination on the
-content-reduced integer rows, which drops each row once it is zero, and
-whose pivot columns both matrix rank and the Schubert profile read;
-characteristic polynomials by division-free Berkowitz
-on the integer matrix, whose step at a vanishing border row or column is one
-multiplication by a linear factor, so a triangular or diagonal matrix costs
-O(n^2); the normal form; and the Grassmannian embedding by
-explicit congruence solving at each eigenvalue, over the common denominator
-of the eigenvalues.  Fraction entries are built only when a caller reads
-them.  A matrix and an embedded point each have one builder, their _hold,
-the one place that checks the type's invariants.  An embedded point holds
-its ideal and its basis columns as integer polynomials in w = s z, for a
-positive integer scale s, each column over its own denominator; a Wilson
-embedding takes s = D, so every root of its ideal is an integer in w, and
-its Fraction ideal and its subspace matrix in z are built on first read,
-the matrix in the reduced form.  Full rank is certified without exact
-elimination in one of two ways.  A Wilson embedding certifies each column
-at its own root: one exact identity per column, (w - a_i)^2 h_i = Q^2 l_i
-for a linear l_i, checked in O(n) products against its own division of Q^2
-by (w - a_i)^2, shows that column i vanishes to order two at every other
-root, so the columns' values and derivatives at the n roots form a block
-diagonal matrix with nonzero blocks; the point keeps each column's block,
-and component_line reads it.  One incremental row echelon modulo the prime
-2^30 - 35 serves the columns of a point from the public constructor and the
-big cell n^n of a Schubert profile (the top n x n block nonsingular), since
-rank can only drop modulo a prime; below 2^30, every residue is one CPython
-digit.  Exact elimination decides only when that echelon fails.
-Entries and scalars must be Fraction or int; anything else raises TypeError
-rather than being coerced.
+Everything here is computed over the rationals with no tolerances.  Entries
+and scalars must be Fraction or int; anything else raises TypeError rather
+than being coerced.  Two immutable types carry the work, each built in one
+place, its _hold, which checks its invariants:
+- RationalMatrix holds one reduced integer form, which its kernels read and
+  write: products, the commutator YX - XY + Id, Bareiss elimination, whose
+  pivot columns give rank and the Schubert profile, and Berkowitz
+  characteristic polynomials;
+- EmbeddedPoint holds an ideal and a subspace basis as integer polynomials
+  in w = s z, and certifies the columns' full rank without exact
+  elimination: at each column's own root for a Wilson embedding, by a row
+  echelon modulo a prime otherwise.
+Each kernel's docstring gives its mechanism and its cost.
 """
 
 from fractions import Fraction
@@ -311,7 +288,8 @@ def _independent_rows_mod_p(rows, need):
     the entries after the pivot.  The reductions of one row skip the modulus
     and the row is reduced once at the end; after k of them an entry stays
     below (k + 1) p^2.  Rank can only drop modulo a prime, so rows found
-    independent here are independent over the rationals too.
+    independent here are independent over the rationals too.  The prime is
+    below 2^30, so every residue is one CPython digit.
     """
     leads = []  # (pivot column, the lead's entries after it)
     found = []
@@ -529,7 +507,8 @@ def commutator_plus_identity(x, y):
     dx dy (YX - XY).  When dy Y is the diagonal matrix (d_i), entry ij of
     that commutator is (d_i - d_j) x_ij, read off the integer rows of X with
     no product; when dx X is diagonal, the same holds with the rows of Y and
-    the signs of the d_i flipped.  Any other pair takes the two products.
+    the signs of the d_i flipped.  So the normal form costs O(n^2); any
+    other pair takes the two products.
     """
     _check_pair(x, y)
     scale = x._den * y._den
@@ -849,6 +828,12 @@ def schubert_profile(subspace):
     The flag step j is spanned by the top j monomials; the profile entry l_i
     is j_i - i where j_i is the first step meeting the subspace in dimension
     i.  Returned with zero entries dropped, as a standard Partition.
+
+    The big cell n^n, where the coefficients of 1, ..., z^(n-1) form a
+    nonsingular block, is certified by the mod-p row echelon.  When the
+    echelon fails, as it does for a Wilson point with 0 among its
+    eigenvalues, the jumps are read off the Bareiss pivot columns of the
+    transposed basis.
     """
     if subspace.rows != 2 * subspace.cols:
         raise DimensionMismatch(

@@ -9,10 +9,11 @@ Each label type has one builder, its ``_hold``, which only sets the slots.
 The public constructors check outside input and then call it; producers
 whose parts come from a label that is already valid (``grow``, ``shrink``,
 ``conjugate``, the enumerators, ``permuted`` and ``with_component``) call it
-directly.  The partitions of n, the wreath labels of (N, n) and the hook
+directly.  Pickle and copy rebuild a label through its public
+constructor.  The partitions of n, the wreath labels of (N, n) and the hook
 multiset of each parts tuple are each built once, in bounded caches keyed
-on those plain values, never on a label; a diagram and its transpose share
-one hook computation.  The enumerators return a fresh list on every call.
+on those plain values, never on a label.  The enumerators return a fresh
+list on every call.
 """
 
 import operator
@@ -200,7 +201,9 @@ class GammaPartition:
         return ";".join(str(c) for c in self.components)
 
     def with_component(self, index, part):
-        """The label with component slot index, 0 <= index < N, replaced by part."""
+        """The label with component slot index, 0 <= index < N, replaced by
+        part; any other slot raises ValueError, and a part that is not a
+        Partition raises TypeError."""
         if not 0 <= index < self.N:
             raise ValueError(f"slot {index} is outside the {self.N} component slots")
         if not isinstance(part, Partition):
@@ -251,11 +254,14 @@ def hook_lengths(lam):
 
 @lru_cache(maxsize=4096)
 def _hook_lengths(parts):
-    # A diagram and its transpose have one hook multiset, computed once from
-    # the larger of the two parts tuples: the smaller reads the larger's
-    # entry, so whichever of a conjugate pair comes second finds it cached.
-    # A self-conjugate shape takes the direct path.  One pass from the
-    # conjugate: h(r, c) = lam_r - c + lam'_c - r - 1.
+    """The hook multiset of parts as a decreasing tuple.
+
+    A diagram and its transpose have one hook multiset, computed once from
+    the larger of the two parts tuples: the smaller reads the larger's
+    entry, so whichever of a conjugate pair comes second finds it cached.
+    A self-conjugate shape takes the direct path.  One pass reads every hook
+    off the conjugate: h(r, c) = lam_r - c + lam'_c - r - 1.
+    """
     columns = _conjugate_parts(parts)
     if columns > parts:
         return _hook_lengths(columns)
@@ -270,6 +276,9 @@ def syt_count(lam):
 
 @lru_cache(maxsize=None)
 def _corner_removal_count(parts):
+    """The tableau count of the shape parts, by corner removal.  The cache
+    has no bound, but syt_enumerate's bound limits it to the 139 shapes of
+    at most 10 cells."""
     if not parts:
         return 1
     return sum(_corner_removal_count(mu.parts) for mu in _new_partition(parts).shrink())

@@ -18,7 +18,7 @@ from itertools import permutations
 from math import factorial
 
 from .characters import (
-    _hook_quotient,
+    _hook_kostka,
     character,
     completion_character_check,
     fixed_point_exponents,
@@ -113,6 +113,8 @@ def _cell_hooks(lam):
 
 
 def _check_hook_conjugation(lim):
+    """The conjugation oracle: each shape's cached hooks against its
+    transpose's hooks read cell by cell."""
     for lam in _partitions_up_to(lim.cap_n(10)):
         yield
         hooks, transposed = hook_lengths(lam), _cell_hooks(lam.conjugate())
@@ -226,12 +228,12 @@ def _check_kostka_dimension(lim):
 
 
 def _check_kostka_conjugation(lim):
-    # the conjugate's polynomial is read under the key of its cell-by-cell
-    # hooks: one cache read when those agree with lambda's cached hooks
+    """The conjugate's polynomial is read under the key of its cell-by-cell
+    hooks: one cache read when those agree with lambda's cached hooks."""
     for lam in _partitions_up_to(lim.cap_n(10)):
         yield
         mu = lam.conjugate()
-        if kostka(lam) != _hook_quotient(mu.size, _cell_hooks(mu)):
+        if kostka(lam) != _hook_kostka(mu.size, _cell_hooks(mu))[0]:
             return f"lambda={lam}: polynomial differs from conjugate's"
 
 

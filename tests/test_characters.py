@@ -11,7 +11,7 @@ from math import factorial, prod
 
 import pytest
 from _oracles import one_minus_quotient
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmkostka import characters, qpoly, schur
@@ -25,6 +25,7 @@ from cmkostka.characters import (
     kostka_wreath,
     tangent_weights,
 )
+from cmkostka.cli import main
 from cmkostka.partitions import (
     GammaPartition,
     Partition,
@@ -158,7 +159,7 @@ def test_memoised_kostka_matches_fresh_quotient(cache):
         assert report.kostka == expected
         assert report.character == expected * substitute_inverse(expected)
         assert report.dimension == evaluate_at_one(expected)
-    assert characters._hook_quotient.cache_info().hits > 0
+    assert characters._hook_kostka.cache_info().hits > 0
     if cache == "warm":
         info = characters._hook_character.cache_info()
         assert info.hits > 0 and info.misses == warm_misses
@@ -262,8 +263,8 @@ def test_character_report_is_a_frozen_slotted_dataclass():
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_quotient, characters._hook_character, characters._hook_word,
-                   characters._repunit_word, characters._qfactorial_word, partitions_module._hook_lengths,
+    for cached in (characters._hook_kostka, characters._hook_character, characters._repunit_word,
+                   characters._qfactorial_word, partitions_module._hook_lengths,
                    partitions_module._partitions_of, partitions_module._gamma_partitions_of, schur._pieri_level,
                    qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
@@ -273,8 +274,8 @@ def test_caches_are_bounded():
 
 
 def _clear_hook_caches():
-    for cached in (characters._hook_quotient, characters._hook_character, characters._hook_word,
-                   characters._repunit_word, characters._qfactorial_word):
+    for cached in (characters._hook_kostka, characters._hook_character, characters._repunit_word,
+                   characters._qfactorial_word):
         cached.cache_clear()
 
 
@@ -288,9 +289,9 @@ def _dense_payload(n, hooks):
 def _assert_word_matches_dense(keys, bits):
     _clear_hook_caches()
     for key in keys:
-        assert characters._hook_word(*key)[1] == bits, key
+        assert characters._hook_kostka(*key)[2] == bits, key
         assert characters._hook_character(*key) == _dense_payload(*key), key
-        assert characters._hook_quotient(*key) is characters._hook_character(*key)[0]
+        assert characters._hook_kostka(*key)[0] is characters._hook_character(*key)[0]
 
 
 def _label_keys(partition_sizes, wreath_pairs=()):
@@ -319,23 +320,90 @@ def test_word_kernel_matches_dense_quotient_on_wide_words():
 def test_words_are_64_bits_up_to_the_cli_caps():
     # every partition of n <= 20 and every wreath label the batch caps admit
     keys = _label_keys(range(21), [(N, n) for N in range(1, 5) for n in range(11)])
-    assert {characters._hook_word(*key)[1] for key in keys} == {64}
+    assert {characters._hook_kostka(*key)[2] for key in keys} == {64}
 
 
 def test_word_kernel_rejects_multisets_that_are_no_labels_hooks():
     # 5,4,3,3,2,2 with n = 6 divides, but the quotient 1 - q + q^2 borrows
-    # digits at q = 2^64; 3,3,1,1 with n = 4 leaves a remainder
+    # digits at q = 2^64; 3,3,1,1 with n = 4 leaves a remainder, and so does
+    # 2,2,2,1 with n = 4, though 8 divides 4! and its word is the one divided
     assert one_minus_quotient(range(1, 7), (5, 4, 3, 3, 2, 2)).coeffs == {0: 1, 1: -1, 2: 1}
-    with pytest.raises(NonExactDivision):
-        one_minus_quotient(range(1, 5), (3, 3, 1, 1))
+    for hooks in ((3, 3, 1, 1), (2, 2, 2, 1)):
+        with pytest.raises(NonExactDivision):
+            one_minus_quotient(range(1, 5), hooks)
     _clear_hook_caches()
     # the last two fail the input guard: a hook count other than n, a hook below 1
-    for n, hooks in ((6, (5, 4, 3, 3, 2, 2)), (4, (3, 3, 1, 1)), (3, (3,)), (2, (2, 0))):
-        for cached in (characters._hook_word, characters._hook_quotient, characters._hook_character):
+    for n, hooks in ((6, (5, 4, 3, 3, 2, 2)), (4, (3, 3, 1, 1)), (4, (2, 2, 2, 1)), (3, (3,)), (2, (2, 0))):
+        for cached in (characters._hook_kostka, characters._hook_character):
             with pytest.raises(NonExactDivision) as raised:
                 cached(n, hooks)
             assert str(raised.value) == f"n = {n}, hooks {hooks}: no label has these hooks; the word fails its certificate"
             assert raised.value.remainder == {}
+
+
+@st.composite
+def guarded_hook_multisets(draw):
+    """(n, hooks) passing _hook_kostka's guard (n hooks, each at least 1,
+    prod(hooks) dividing n!, sum(hooks) <= n(n+1)/2), mostly no label's
+    hooks: a partition's hooks with factors moved between hooks or dropped,
+    which keeps the product a divisor of n!."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    hooks = list(hook_lengths(draw(st.sampled_from(enumerate_partitions(n)))))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        if hooks[i] == 1:
+            continue
+        f = draw(st.sampled_from([f for f in range(2, hooks[i] + 1) if hooks[i] % f == 0]))
+        hooks[i] //= f
+        j = draw(st.integers(min_value=-1, max_value=n - 1))
+        if j >= 0:
+            hooks[j] *= f
+    assume(sum(hooks) <= n * (n + 1) // 2)
+    return n, tuple(sorted(hooks, reverse=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(guarded_hook_multisets())
+@example((4, (2, 2, 2, 1)))  # the word leaves a remainder
+@example((6, (5, 4, 3, 3, 2, 2)))  # exact, with a negative coefficient
+@example((14, (1,) * 14))
+def test_guarded_word_has_at_most_deg_plus_one_digits(key):
+    # the bound _hook_kostka's docstring proves, on the integer quotient
+    # whether or not it divides exactly
+    n, hooks = key
+    top = factorial(n)
+    d = top // prod(hooks)
+    deg = n * (n + 1) // 2 - sum(hooks)
+    assert top % prod(hooks) == 0 and deg >= 0
+    bits = 64
+    while 1 << bits <= max(top, d * d):
+        bits += 64
+    x = 1 << bits
+    # [m](x) = (x^m - 1) / (x - 1), and the n factors x - 1 cancel
+    assert prod(x**m - 1 for m in range(1, n + 1)) // prod(x**h - 1 for h in hooks) < x ** (deg + 1)
+    # the certificate accepts exactly the polynomial quotients with
+    # nonnegative coefficients, and raises NonExactDivision otherwise
+    try:
+        dense = one_minus_quotient(range(1, n + 1), hooks)
+    except NonExactDivision:
+        dense = None
+    if dense is None or min(dense.coeffs.values()) < 0:
+        with pytest.raises(NonExactDivision):
+            characters._hook_kostka(n, hooks)
+    else:
+        assert characters._hook_kostka(n, hooks)[0] == dense
+
+
+def test_kostka_batches_build_no_character(capsys):
+    _clear_hook_caches()
+    for n in range(1, 13):
+        assert main(["kostka", "--n", str(n)]) == 0
+    for n in range(1, 6):
+        assert main(["kostka", "--N", "3", "--n", str(n)]) == 0
+        assert main(["wreath", "--N", "3", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert characters._hook_kostka.cache_info().currsize > 0
+    assert characters._hook_character.cache_info().currsize == 0
 
 
 def test_fresh_character_multiplies_no_polynomials(monkeypatch):
