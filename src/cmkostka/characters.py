@@ -213,8 +213,10 @@ def fixed_point_exponents(lam):
 
     With n the partition's size and its parts padded increasing to length n,
     the exponents are 2n - l_i - i for i = 1..n; they are n distinct values
-    in [0, 2n-1].
+    in [0, 2n-1].  Anything but a Partition raises TypeError.
     """
+    if not isinstance(lam, Partition):
+        raise TypeError(f"expected Partition, got {type(lam).__name__}")
     n = lam.size
     return {2 * n - l_i - i for i, l_i in enumerate(lam.padded_increasing(n), 1)}
 
@@ -224,10 +226,11 @@ def tangent_weights(lam):
 
     One Hom line from each basis exponent a to every non-basis exponent b
     with a < b <= 2n-1, of weight a - b.  Returns the multiset as an
-    increasing tuple of exactly n strictly negative integers.
+    increasing tuple of exactly n strictly negative integers.  Anything but
+    a Partition raises TypeError.
     """
-    n = lam.size
     basis = fixed_point_exponents(lam)
+    n = lam.size
     return tuple(sorted(a - b for a in basis for b in range(a + 1, 2 * n) if b not in basis))
 
 

@@ -22,6 +22,7 @@ from math import factorial
 from .characters import character, kostka, kostka_wreath, tangent_weights
 from .cm import CMPointRegular, verify_cm, wilson_embed, wilson_representative
 from .partitions import (
+    _DECIMAL,
     BoundExceeded,
     enumerate_gamma_partitions,
     enumerate_partitions,
@@ -29,7 +30,7 @@ from .partitions import (
     parse_gamma_partition,
     parse_partition,
 )
-from .qpoly import _DECIMAL, evaluate_at_one
+from .qpoly import evaluate_at_one
 from .schur import expand_p1n, expand_p1n_wreath
 from .verify import run_checks
 
@@ -46,9 +47,10 @@ def _integer(text):
 
 
 def _positive(text):
-    if not _DECIMAL.fullmatch(text) or int(text) < 1:
+    value = _integer(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return int(text)
+    return value
 
 
 def _rational_list(text):

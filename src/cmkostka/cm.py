@@ -122,10 +122,6 @@ class RationalMatrix:
         return entries
 
     @staticmethod
-    def identity(n):
-        return RationalMatrix.diagonal([1] * n)
-
-    @staticmethod
     def diagonal(values):
         d, (a,) = _cleared([[_frac(v) for v in values]])
         return RationalMatrix._diagonal(d, a)

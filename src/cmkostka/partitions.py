@@ -17,12 +17,11 @@ list on every call.
 """
 
 import operator
+import re
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-
-from .qpoly import _DECIMAL
 
 
 class BoundExceeded(ValueError):
@@ -368,6 +367,10 @@ def enumerate_gamma_partitions(N, n):
 @lru_cache(maxsize=64)
 def _gamma_partitions_of(N, n):
     return tuple(_new_gamma(t) for comp in _compositions(n, N) for t in product(*map(_partitions_of, comp)))
+
+
+# str(k) for an int k: no sign on zero, no leading zeros, ASCII digits only
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_partition(text):

@@ -8,10 +8,10 @@ q-multinomials are each built once, in bounded caches read only after
 operator.index has validated the arguments.
 """
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
+from types import MappingProxyType
 
 
 class NonExactDivision(ArithmeticError):
@@ -26,12 +26,9 @@ class NonExactDivision(ArithmeticError):
         self.remainder = dict(remainder)
 
 
-# str(k) for an int k: no sign on zero, no leading zeros, ASCII digits only
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-
-
 class LaurentPoly:
-    """Sparse Laurent polynomial over the integers, immutable."""
+    """Sparse Laurent polynomial over the integers, immutable: coeffs is a
+    read-only exponent -> coefficient mapping."""
 
     __slots__ = ("coeffs",)
 
@@ -42,14 +39,14 @@ class LaurentPoly:
                 c = index(c)
                 if c != 0:
                     clean[index(exp)] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     @staticmethod
     def _from_ints(coeffs):
         """The polynomial holding coeffs, an exponent -> int map with no zero
         values, taken as it is: no copy and no validation."""
         poly = object.__new__(LaurentPoly)
-        object.__setattr__(poly, "coeffs", coeffs)
+        object.__setattr__(poly, "coeffs", MappingProxyType(coeffs))
         return poly
 
     def __setattr__(self, name, value):
@@ -57,22 +54,7 @@ class LaurentPoly:
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not by setting slots
-        return LaurentPoly, (self.coeffs,)
-
-    @staticmethod
-    def zero():
-        return LaurentPoly()
-
-    @staticmethod
-    def one():
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def term(coeff, exp):
-        return LaurentPoly({exp: coeff})
-
-    def is_zero(self):
-        return not self.coeffs
+        return LaurentPoly, (self.coeffs.copy(),)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -84,7 +66,7 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for exp, c in other.coeffs.items():
             s = out.get(exp, 0) + c
             if s == 0:
@@ -123,10 +105,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.coeffs)
 
-    def shifted(self, k):
-        """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
     def truncated(self, order):
         """Drop all terms with exponent > order."""
         order = index(order)
@@ -156,25 +134,11 @@ class LaurentPoly:
         return " ".join(pieces)
 
     def __repr__(self):
-        return f"LaurentPoly({self.coeffs!r})"
+        return f"LaurentPoly({self.coeffs.copy()!r})"
 
     def to_json_dict(self):
         """Exponents and coefficients as decimal strings, ascending exponent order."""
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-    @staticmethod
-    def from_json_dict(data):
-        """The polynomial to_json_dict wrote: each exponent and coefficient
-        must be a decimal string as str writes an int; anything else, a
-        float or "2.7" among them, raises TypeError rather than truncating."""
-        return LaurentPoly({_decimal(e): _decimal(c) for e, c in data.items()})
-
-
-def _decimal(text):
-    """The int whose decimal string, as str writes it, is text."""
-    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
-        raise TypeError(f"expected a decimal integer string, got {type(text).__name__} {text!r}")
-    return int(text)
 
 
 # The q-factorial and q-multinomial caches below are bounded, and each
@@ -199,7 +163,7 @@ def qfactorial_product(n):
 
 @lru_cache(maxsize=64)
 def _qfactorial_product(n):
-    result = LaurentPoly.one()
+    result = LaurentPoly({0: 1})
     for i in range(1, n + 1):
         result = result * one_minus_q(i)
     return result
@@ -217,10 +181,10 @@ def exact_divide(a, b):
     before a non-integer quotient, and the exponent offset is restored at
     the end.
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
+    if not a:
+        return LaurentPoly()
     a_min, b_min = a.min_exponent(), b.min_exponent()
     num = [0] * (a.max_exponent() - a_min + 1)
     for e, c in a.coeffs.items():
@@ -276,7 +240,7 @@ def qmultinomial(n, sizes):
 
 @lru_cache(maxsize=1024)
 def _qmultinomial(n, sizes):
-    den = LaurentPoly.one()
+    den = LaurentPoly({0: 1})
     for s in sizes:
         den = den * _qfactorial_product(s)
     return exact_divide(_qfactorial_product(n), den)

@@ -15,6 +15,7 @@ from math import factorial
 
 from .characters import kostka_wreath
 from .partitions import (
+    BoundExceeded,
     GammaPartition,
     Partition,
     enumerate_gamma_partitions,
@@ -87,7 +88,7 @@ def multiplicity_identity_check(N, n):
     counts, and equal to the wreath Kostka polynomial at q = 1.
     """
     if N > _MAX_N or n > _MAX_n:
-        raise ValueError(f"bounds exceeded: N={N} n={n} beyond ({_MAX_N}, {_MAX_n})")
+        raise BoundExceeded(f"bounds exceeded: N={N} n={n} beyond ({_MAX_N}, {_MAX_n})")
     for gp in enumerate_gamma_partitions(N, n):
         hook_prod = 1
         for comp in gp.components:

@@ -63,20 +63,20 @@ def partitions(draw, max_size=8):
 
 
 def test_kostka_golden_values():
-    assert kostka(Partition(())) == LaurentPoly.one()
-    assert kostka(Partition((1,))) == LaurentPoly.one()
+    assert kostka(Partition(())) == LaurentPoly({0: 1})
+    assert kostka(Partition((1,))) == LaurentPoly({0: 1})
     assert kostka(Partition((2, 1))).coeffs == {0: 1, 1: 1}
     assert kostka(Partition((3, 1))).coeffs == {0: 1, 1: 1, 2: 1}
     assert kostka(Partition((2, 2))).coeffs == {0: 1, 2: 1}
-    assert kostka(Partition((4,))) == LaurentPoly.one()
-    assert kostka(Partition((1, 1, 1, 1))) == LaurentPoly.one()
+    assert kostka(Partition((4,))) == LaurentPoly({0: 1})
+    assert kostka(Partition((1, 1, 1, 1))) == LaurentPoly({0: 1})
 
 
 def test_kostka_wreath_golden_values():
     pair = GammaPartition((Partition((1,)), Partition((1,))))
     assert kostka_wreath(pair).coeffs == {0: 1, 1: 1}
     lone = GammaPartition((Partition((2,)), Partition(())))
-    assert kostka_wreath(lone) == LaurentPoly.one()
+    assert kostka_wreath(lone) == LaurentPoly({0: 1})
     mixed = GammaPartition((Partition((1, 1)), Partition((1,))))
     assert kostka_wreath(mixed).coeffs == {0: 1, 1: 1, 2: 1}
 
@@ -106,7 +106,7 @@ def test_character_rejects_other_types():
 def _long_division_kostka(components):
     """The hook formula by Fraction long division, independent of the integer kernel."""
     hooks = [h for comp in components for h in hook_lengths(comp)]
-    den = prod(map(one_minus_q, hooks), start=LaurentPoly.one())
+    den = prod(map(one_minus_q, hooks), start=LaurentPoly({0: 1}))
     return exact_divide(qfactorial_product(sum(c.size for c in components)), den)
 
 
@@ -188,6 +188,28 @@ def test_characters_are_shared_per_hook_multiset():
         assert report.kostka is shared.kostka and report.character is shared.character
     # every report in first is alive, so distinct keys show as distinct ids
     assert len({id(report.character) for report in first.values()}) == len(first)
+
+
+@pytest.mark.parametrize(
+    "label, other",
+    [
+        (Partition((2, 1)), Partition((2, 1))),
+        (Partition((3, 1)), Partition((2, 1, 1))),
+        (GammaPartition((Partition((2,)), Partition((1,)))), GammaPartition((Partition((1,)), Partition((2,))))),
+    ],
+)
+def test_shared_polynomials_are_read_only(label, other):
+    # the cached objects reach every caller, so a write to one of them would
+    # reach every later label with that hook multiset
+    report = character(label)
+    k, chi = dict(report.kostka.coeffs), dict(report.character.coeffs)
+    for poly in (report.kostka, report.character):
+        with pytest.raises(TypeError):
+            poly.coeffs[5] = 9
+        with pytest.raises(TypeError):
+            del poly.coeffs[0]
+    assert kostka(other).coeffs == k and character(other).character.coeffs == chi
+    assert kostka(other) == LaurentPoly(k) and character(other).character == LaurentPoly(chi)
 
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])
@@ -435,10 +457,10 @@ def _summed_character_sides(n, N=None):
     """
     labels = enumerate_partitions(n) if N is None else enumerate_gamma_partitions(N, n)
     scale = LaurentPoly({0: factorial(n)})
-    left = scale * sum((character(label).character for label in labels), LaurentPoly.zero())
-    right = LaurentPoly.zero()
+    left = scale * sum((character(label).character for label in labels), LaurentPoly())
+    right = LaurentPoly()
     for mu in enumerate_partitions(n):
-        chi = exact_divide(qfactorial_product(n), prod(map(one_minus_q, mu.parts), start=LaurentPoly.one()))
+        chi = exact_divide(qfactorial_product(n), prod(map(one_minus_q, mu.parts), start=LaurentPoly({0: 1})))
         z = prod(m**a * factorial(a) for m, a in Counter(mu.parts).items())
         weight = (N or 1) ** len(mu) * (factorial(n) // z)
         right = right + LaurentPoly({0: weight}) * chi * substitute_inverse(chi)
@@ -523,6 +545,15 @@ def test_fixed_point_exponents_take_the_size_from_the_partition():
         fixed_point_exponents(Partition((3,)), n=1)
 
 
+@pytest.mark.parametrize(
+    "label", [GammaPartition((Partition((1,)), Partition(()))), (2, 1), "2,1", None], ids=repr
+)
+def test_fixed_point_data_rejects_other_types(label):
+    for call in (fixed_point_exponents, tangent_weights):
+        with pytest.raises(TypeError, match=f"^expected Partition, got {type(label).__name__}$"):
+            call(label)
+
+
 def test_fixed_point_exponents_are_distinct_in_range():
     for n in range(1, 8):
         for lam in enumerate_partitions(n):
@@ -577,7 +608,7 @@ def _localized_character(tangent, n):
     if any(m < 0 for m in tangent.coeffs.values()) or 0 in tangent.coeffs:
         return None
     factors = [LaurentPoly({0: 1, w: -1}) for w, m in tangent.coeffs.items() for _ in range(m)]
-    weights = prod(factors, start=LaurentPoly.one())
+    weights = prod(factors, start=LaurentPoly({0: 1}))
     numerator = qfactorial_product(n) * substitute_inverse(qfactorial_product(n))
     return exact_divide(numerator, weights)
 

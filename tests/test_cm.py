@@ -109,8 +109,6 @@ def test_matrix_constructor_validation():
     for build in (
         lambda: RationalMatrix([]),
         lambda: RationalMatrix.diagonal([]),
-        lambda: RationalMatrix.identity(0),
-        lambda: RationalMatrix.identity(-1),
         lambda: RationalMatrix._from_ints(1, []),
         lambda: RationalMatrix._from_ints(6, []),
     ):
@@ -207,7 +205,7 @@ def test_matrix_operations_match_fraction_arithmetic(grids, c):
     diag = a_grid[0]
     n = len(diag)
     _same_matrix(RationalMatrix.diagonal(diag), [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    _same_matrix(RationalMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+    _same_matrix(RationalMatrix.diagonal([1] * n), [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def test_integer_form_is_canonical_across_routes():
@@ -308,7 +306,7 @@ def test_commutator_of_a_diagonal_factor_takes_no_product(monkeypatch):
 
 
 def test_rank_golden():
-    assert RationalMatrix.identity(5).rank() == 5
+    assert RationalMatrix.diagonal([1] * 5).rank() == 5
     assert RationalMatrix([[0]]).rank() == 0
     assert RationalMatrix([[1, 2], [2, 4]]).rank() == 1
     assert RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]).rank() == 1
@@ -424,7 +422,7 @@ def test_rank_eliminates_along_the_shorter_side(monkeypatch):
 def test_charpoly_golden():
     assert RationalMatrix.diagonal([0, 1]).charpoly() == (0, -1, 1)
     assert RationalMatrix([[0, -1], [1, 0]]).charpoly() == (1, 0, 1)
-    assert RationalMatrix.identity(2).charpoly() == (1, -2, 1)
+    assert RationalMatrix.diagonal([1] * 2).charpoly() == (1, -2, 1)
     nilpotent = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert nilpotent.charpoly() == (0, 0, 0, 1)
 
@@ -518,7 +516,7 @@ def test_verify_cm_trivial_sizes():
     ok, m, witness = verify_cm(RationalMatrix([[0]]), RationalMatrix([[0]]))
     assert ok and m.entries == ((1,),) and witness == ((Fraction(1),), (Fraction(1),))
     ok, m, witness = verify_cm(RationalMatrix.diagonal([0, 0]), RationalMatrix.diagonal([0, 0]))
-    assert not ok and witness is None and m.entries == RationalMatrix.identity(2).entries
+    assert not ok and witness is None and m.entries == RationalMatrix.diagonal([1] * 2).entries
 
 
 def test_verify_cm_on_normal_form():
@@ -588,12 +586,12 @@ def test_cstar_action():
     with pytest.raises(ZeroScalar):
         cstar_act(0, x, y)
     with pytest.raises(DimensionMismatch, match="need equal square matrices, got 1x2 and 3x3"):
-        cstar_act(2, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
+        cstar_act(2, RationalMatrix([[1, 2]]), RationalMatrix.diagonal([1] * 3))
     # the scalar is checked before the shapes
     with pytest.raises(TypeError):
-        cstar_act(1.5, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
+        cstar_act(1.5, RationalMatrix([[1, 2]]), RationalMatrix.diagonal([1] * 3))
     with pytest.raises(ZeroScalar):
-        cstar_act(0, RationalMatrix([[1, 2]]), RationalMatrix.identity(3))
+        cstar_act(0, RationalMatrix([[1, 2]]), RationalMatrix.diagonal([1] * 3))
 
 
 def test_involution_golden_and_preservation():
@@ -614,7 +612,7 @@ def test_projections_golden():
     assert char_y == (0, -1, 1)
     assert char_y == poly_from_roots([0, 1])
     with pytest.raises(DimensionMismatch, match="need equal square matrices, got 2x2 and 3x3"):
-        projections(x, RationalMatrix.identity(3))
+        projections(x, RationalMatrix.diagonal([1] * 3))
 
 
 def _hook_fixed_pair(n, l):
@@ -925,7 +923,7 @@ def test_prime_is_prime_and_one_digit():
 def _trace_recurrence_charpoly(a):
     """det(zI - A) by the trace recurrence run directly on the Fraction matrix."""
     n = a.rows
-    ident = RationalMatrix.identity(n)
+    ident = RationalMatrix.diagonal([1] * n)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     m = ident
@@ -989,7 +987,7 @@ def _wilson_scale(point):
 
 def _fraction_commutator(x, y):
     """YX - XY + Id from Fraction matrix products."""
-    return (y @ x) - (x @ y) + RationalMatrix.identity(x.rows)
+    return (y @ x) - (x @ y) + RationalMatrix.diagonal([1] * x.rows)
 
 
 def _fraction_normal_form(point):

@@ -1,7 +1,6 @@
 """Laurent polynomial ring, exact division, and the canonical renderings."""
 
 import copy
-import json
 import pickle
 import time
 from fractions import Fraction
@@ -36,17 +35,36 @@ laurent_polys = st.builds(
 
 
 def test_zero_one_term():
-    assert LaurentPoly.zero().is_zero()
-    assert not LaurentPoly.zero()
-    assert LaurentPoly.one().coeffs == {0: 1}
-    assert LaurentPoly.term(3, -2).coeffs == {-2: 3}
-    assert LaurentPoly({1: 0}).is_zero()
+    assert not LaurentPoly()
+    assert not LaurentPoly({})
+    assert not LaurentPoly({1: 0})
+    assert LaurentPoly({0: 1}).coeffs == {0: 1}
+    assert LaurentPoly({-2: 3, 5: 0}).coeffs == {-2: 3}
 
 
 def test_immutability():
-    p = LaurentPoly.one()
+    p = LaurentPoly({0: 1})
     with pytest.raises(AttributeError):
         p.coeffs = {}
+
+
+@pytest.mark.parametrize("build", [lambda: LaurentPoly({0: 1, 2: -3}), lambda: one_minus_q(2) * one_minus_q(1)])
+def test_coefficients_are_read_only(build):
+    # both builders, the validating constructor and the trusted product path,
+    # hand out a read-only view of the exponent -> coefficient map
+    p = build()
+    before = dict(p.coeffs)
+    with pytest.raises(TypeError):
+        p.coeffs[5] = 9
+    with pytest.raises(TypeError):
+        del p.coeffs[0]
+    with pytest.raises(AttributeError):
+        p.coeffs.clear()
+    assert p.coeffs == before and before == p.coeffs
+    assert p == LaurentPoly(before) and hash(p) == hash(LaurentPoly(before))
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and dict(copied.coeffs) == before
+    assert repr(p) == f"LaurentPoly({before!r})"
 
 
 @given(laurent_polys)
@@ -59,14 +77,14 @@ def test_addition_cancels():
     p = LaurentPoly({0: 1, 1: 2})
     q = LaurentPoly({1: -2, 3: 4})
     assert (p + q).coeffs == {0: 1, 3: 4}
-    assert (p - p).is_zero()
+    assert not p - p
 
 
 def test_multiplication_golden():
     one_plus_q = LaurentPoly({0: 1, 1: 1})
     assert (one_plus_q * one_minus_q(1)).coeffs == {0: 1, 2: -1}
     assert (one_plus_q * one_plus_q).coeffs == {0: 1, 1: 2, 2: 1}
-    assert one_plus_q * LaurentPoly.one() == one_plus_q
+    assert one_plus_q * LaurentPoly({0: 1}) == one_plus_q
 
 
 def _dense_convolution(a, b):
@@ -74,7 +92,7 @@ def _dense_convolution(a, b):
     factor is q^low times a polynomial in q^g, g the gcd of the exponent gaps
     of both factors, and the two lists of that polynomial's coefficients are
     convolved.  Shares no code with LaurentPoly.__mul__."""
-    if a.is_zero() or b.is_zero():
+    if not a or not b:
         return {}
     a_low, b_low = a.min_exponent(), b.min_exponent()
     g = gcd(*(e - a_low for e in a.coeffs), *(e - b_low for e in b.coeffs)) or 1
@@ -108,7 +126,7 @@ def test_product_cancellation(k):
     # the product keeps only 1 - q^(k+1) times c
     c = _dense(12)
     product = _assert_product_matches_oracle(run, one_minus_q(1) * c)
-    assert product == c - c.shifted(k + 1)
+    assert product == c - c * LaurentPoly({k + 1: 1})
 
 
 @pytest.mark.parametrize("t", [9, 12, 31])
@@ -131,8 +149,8 @@ wide_laurent_polys = st.builds(
 
 
 @given(wide_laurent_polys, wide_laurent_polys)
-@example(LaurentPoly.zero(), _dense(30))
-@example(LaurentPoly.term(-7, 3), _dense(30))
+@example(LaurentPoly(), _dense(30))
+@example(LaurentPoly({3: -7}), _dense(30))
 @example(_dense(9), _dense(9, start=-5, coeff=lambda i: (-1) ** i * 10**30))
 def test_product_matches_schoolbook_oracle(a, b):
     _assert_product_matches_oracle(a, b)
@@ -152,22 +170,22 @@ def test_sparse_wide_product_takes_the_schoolbook_path():
 
 def test_shift_truncate_exponents():
     p = LaurentPoly({-1: 1, 2: 3})
-    assert p.shifted(2).coeffs == {1: 1, 4: 3}
+    assert (p * LaurentPoly({2: 1})).coeffs == {1: 1, 4: 3}
     assert p.truncated(1).coeffs == {-1: 1}
     assert p.min_exponent() == -1 and p.max_exponent() == 2
     with pytest.raises(ValueError):
-        LaurentPoly.zero().min_exponent()
+        LaurentPoly().min_exponent()
 
 
 def test_qfactorial_product_golden():
-    assert qfactorial_product(0) == LaurentPoly.one()
+    assert qfactorial_product(0) == LaurentPoly({0: 1})
     assert qfactorial_product(3).coeffs == {0: 1, 1: -1, 2: -1, 4: 1, 5: 1, 6: -1}
     with pytest.raises(ValueError):
         qfactorial_product(-1)
 
 
 def test_one_minus_q_edge_cases():
-    assert one_minus_q(0).is_zero()
+    assert not one_minus_q(0)
     assert one_minus_q(-2) == LaurentPoly({0: 1, -2: -1})
     assert one_minus_q(2) == LaurentPoly({0: 1, 2: -1})
     # warm cache: an inexact argument equal to a cached key is still refused
@@ -192,7 +210,7 @@ def test_qfactorial_and_qmultinomial_validate_on_a_warm_cache():
 
 def _fresh_qfactorial(n):
     """(1-q)...(1-q^n) built from new factors, bypassing every cache."""
-    return prod((LaurentPoly({0: 1, i: -1}) for i in range(1, n + 1)), start=LaurentPoly.one())
+    return prod((LaurentPoly({0: 1, i: -1}) for i in range(1, n + 1)), start=LaurentPoly({0: 1}))
 
 
 def _weak_compositions(n, parts):
@@ -213,7 +231,7 @@ def test_cached_q_factorials_and_multinomials_match_fresh_products(cache):
         assert qfactorial_product(n) == _fresh_qfactorial(n)
         for parts in (1, 2, 3):
             for sizes in _weak_compositions(n, parts):
-                den = prod(map(_fresh_qfactorial, sizes), start=LaurentPoly.one())
+                den = prod(map(_fresh_qfactorial, sizes), start=LaurentPoly({0: 1}))
                 assert qmultinomial(n, sizes) == exact_divide(_fresh_qfactorial(n), den)
                 assert qmultinomial(n, list(sizes)) == qmultinomial(n, sizes[::-1])
     assert qpoly._qmultinomial.cache_info().hits > 0
@@ -221,7 +239,7 @@ def test_cached_q_factorials_and_multinomials_match_fresh_products(cache):
 
 def test_rendering_golden():
     assert str(LaurentPoly({-1: 1, 0: 2, 1: 1})) == "q^-1 + 2 + q"
-    assert str(LaurentPoly.zero()) == "0"
+    assert str(LaurentPoly()) == "0"
     assert str(LaurentPoly({0: 1, 1: -1})) == "1 - q"
     assert str(LaurentPoly({2: -1})) == "-q^2"
     assert str(LaurentPoly({0: -2, 2: 3})) == "-2 + 3*q^2"
@@ -233,37 +251,18 @@ def test_json_dict_round_trip_and_order():
     data = p.to_json_dict()
     assert list(data.keys()) == ["-2", "0", "3"]
     assert data == {"-2": "-7", "0": "1", "3": "5"}
-    assert LaurentPoly.from_json_dict(json.loads(json.dumps(data))) == p
-    assert LaurentPoly.from_json_dict({"0": "0", "-1": "-12"}) == LaurentPoly({-1: -12})
-    # only the decimal strings to_json_dict writes are read: no number is
-    # truncated and no other spelling of an int is accepted
-    for bad in (
-        {"0": 2.7},
-        {"0": 2},
-        {1.9: "3"},
-        {1: "3"},
-        {"0": "2.7"},
-        {"0": " 3"},
-        {"0": "+3"},
-        {"0": "03"},
-        {"-0": "3"},
-        {"0": "1_000"},
-        {"0": "\u0663"},
-        {"0": None},
-    ):
-        with pytest.raises(TypeError):
-            LaurentPoly.from_json_dict(bad)
+    assert LaurentPoly({int(e): int(c) for e, c in data.items()}) == p
 
 
 def test_exact_divide_golden():
     num = one_minus_q(3)
     assert exact_divide(num, one_minus_q(1)).coeffs == {0: 1, 1: 1, 2: 1}
-    assert exact_divide(LaurentPoly.zero(), num).is_zero()
+    assert not exact_divide(LaurentPoly(), num)
 
 
 def test_exact_divide_with_laurent_shift():
-    a = one_minus_q(3).shifted(-2)
-    b = one_minus_q(1).shifted(1)
+    a = one_minus_q(3) * LaurentPoly({-2: 1})
+    b = one_minus_q(1) * LaurentPoly({1: 1})
     assert exact_divide(a, b).coeffs == {-3: 1, -2: 1, -1: 1}
 
 
@@ -272,7 +271,7 @@ def test_exact_divide_failures():
         exact_divide(one_minus_q(3), one_minus_q(2))
     assert err.value.remainder
     with pytest.raises(ZeroDivisionError):
-        exact_divide(LaurentPoly.one(), LaurentPoly.zero())
+        exact_divide(LaurentPoly({0: 1}), LaurentPoly())
 
 
 def test_non_integer_quotient_is_rejected():
@@ -283,10 +282,10 @@ def test_non_integer_quotient_is_rejected():
 def _fraction_exact_divide(a, b):
     """Long division over the rationals on exponent maps, highest term first
     by max(): the earlier exact_divide, kept as an oracle for the dense walk."""
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
+    if not a:
+        return LaurentPoly()
     shift = a.min_exponent() - b.min_exponent()
     num = {e - a.min_exponent(): Fraction(c) for e, c in a.coeffs.items()}
     den = {e - b.min_exponent(): Fraction(c) for e, c in b.coeffs.items()}
@@ -333,7 +332,7 @@ def test_exact_divide_failure_classes_are_pinned():
         "division left remainder with exponents [0]",
         {0: Fraction(5, 4)},
     )
-    half = (LaurentPoly.one(), LaurentPoly({0: 2}))
+    half = (LaurentPoly({0: 1}), LaurentPoly({0: 2}))
     assert _division_outcome(exact_divide, *half) == (
         "non-integer quotient",
         "quotient has non-integer coefficients",
@@ -382,8 +381,8 @@ def test_non_integers_are_rejected_not_coerced():
 
 
 def test_one_minus_quotient_golden():
-    assert one_minus_quotient([], []) == LaurentPoly.one()
-    assert one_minus_quotient([1, 2, 3], [1, 2, 3]) == LaurentPoly.one()
+    assert one_minus_quotient([], []) == LaurentPoly({0: 1})
+    assert one_minus_quotient([1, 2, 3], [1, 2, 3]) == LaurentPoly({0: 1})
     assert one_minus_quotient([3], [1]).coeffs == {0: 1, 1: 1, 2: 1}
     assert one_minus_quotient([2], []) == one_minus_q(2)
     # Gaussian binomial [4 choose 2]
@@ -410,8 +409,8 @@ def test_one_minus_quotient_rejects_non_exact_division():
     st.lists(st.integers(min_value=1, max_value=6), max_size=5),
 )
 def test_one_minus_quotient_matches_long_division(tops, bottoms):
-    num = prod(map(one_minus_q, tops), start=LaurentPoly.one())
-    den = prod(map(one_minus_q, bottoms), start=LaurentPoly.one())
+    num = prod(map(one_minus_q, tops), start=LaurentPoly({0: 1}))
+    den = prod(map(one_minus_q, bottoms), start=LaurentPoly({0: 1}))
     try:
         expected = exact_divide(num, den)
     except NonExactDivision:
@@ -430,13 +429,13 @@ def test_substitute_inverse_and_palindromes():
 
 def test_evaluate_at_one():
     assert evaluate_at_one(LaurentPoly({-3: 2, 5: 4})) == 6
-    assert evaluate_at_one(LaurentPoly.zero()) == 0
+    assert evaluate_at_one(LaurentPoly()) == 0
 
 
 def test_qmultinomial_golden():
     assert qmultinomial(2, (1, 1)).coeffs == {0: 1, 1: 1}
     assert qmultinomial(4, (2, 2)).coeffs == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
-    assert qmultinomial(3, (3,)) == LaurentPoly.one()
+    assert qmultinomial(3, (3,)) == LaurentPoly({0: 1})
     with pytest.raises(ValueError):
         qmultinomial(3, (1, 1))
 
@@ -458,8 +457,8 @@ def test_geometric_product_series_golden():
 
 @given(st.lists(st.integers(min_value=1, max_value=7), max_size=6), st.integers(min_value=0, max_value=20))
 def test_geometric_product_series_inverts_the_factors(exponents, order):
-    factors = prod(map(one_minus_q, exponents), start=LaurentPoly.one())
-    assert (geometric_product_series(exponents, order) * factors).truncated(order) == LaurentPoly.one()
+    factors = prod(map(one_minus_q, exponents), start=LaurentPoly({0: 1}))
+    assert (geometric_product_series(exponents, order) * factors).truncated(order) == LaurentPoly({0: 1})
 
 
 def test_truncated_refuses_an_inexact_order():
@@ -480,7 +479,7 @@ def test_ring_distributivity(a, b, c):
 
 @given(laurent_polys, laurent_polys)
 def test_division_recovers_factor(a, b):
-    if b.is_zero():
+    if not b:
         return
     assert exact_divide(a * b, b) == a
 

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from cmkostka.partitions import (
+    BoundExceeded,
     GammaPartition,
     Partition,
     enumerate_gamma_partitions,
@@ -136,10 +137,13 @@ def test_multiplicity_identity_check_small_grid():
 
 
 def test_multiplicity_identity_check_enforces_bounds():
-    with pytest.raises(ValueError):
-        multiplicity_identity_check(5, 2)
-    with pytest.raises(ValueError):
-        multiplicity_identity_check(2, 7)
+    # the cap is (4, 6): one past it on either side raises BoundExceeded,
+    # which callers that catch ValueError still catch
+    assert issubclass(BoundExceeded, ValueError)
+    for N, n in ((5, 2), (2, 7), (5, 7), (5, 0), (1, 7)):
+        with pytest.raises(BoundExceeded, match=rf"^bounds exceeded: N={N} n={n} beyond \(4, 6\)$"):
+            multiplicity_identity_check(N, n)
+    assert multiplicity_identity_check(4, 6) and multiplicity_identity_check(1, 6)
     # within the bounds, a count that is not an int is refused, not coerced
     for N, n in ((2.0, 3), (2, 3.0)):
         with pytest.raises(TypeError):

@@ -1,9 +1,11 @@
 """The package as a whole: it stays standard-library only, every absolute
-import in src/cmkostka naming a standard-library module, and its __all__
-lists exactly the public names it binds that are not modules."""
+import in src/cmkostka naming a standard-library module; its modules import
+one another in layers, with no cycle; and its __all__ lists exactly the
+public names it binds that are not modules."""
 
 import ast
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 from types import ModuleType
 
@@ -24,6 +26,21 @@ def _absolute_imports(path):
             yield node.lineno, node.module.split(".")[0]
 
 
+def _sibling_imports():
+    """Module name -> set of the sibling modules its relative imports name,
+    at any depth in the file."""
+    graph = {}
+    for path in SOURCES:
+        siblings = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module:
+                    siblings.add(node.module.split(".")[0])
+                else:
+                    siblings.update(alias.name for alias in node.names)
+    return graph
+
+
 def test_sources_are_found():
     assert {path.name for path in SOURCES} >= {"__init__.py", "cli.py", "verify.py"}
 
@@ -40,3 +57,16 @@ def test_all_lists_every_public_name():
     ]
     assert sorted(cmkostka.__all__) == sorted(public)
     assert len(set(cmkostka.__all__)) == len(cmkostka.__all__)
+
+
+def test_modules_import_in_layers():
+    graph = _sibling_imports()
+    # the parse sees the imports the layers below rest on
+    assert graph["characters"] == {"partitions", "qpoly"} and "verify" in graph["cli"]
+    assert graph["qpoly"] == set() and graph["partitions"] == set()
+    assert [name for name, siblings in graph.items() if "cli" in siblings] == []
+    # verify is the check battery: the CLI runs it and the package re-exports it
+    assert sorted(name for name, siblings in graph.items() if "verify" in siblings) == ["__init__", "cli"]
+    assert set().union(*graph.values()) <= set(graph)
+    # static_order raises graphlib.CycleError on a cycle
+    assert len(list(TopologicalSorter(graph).static_order())) == len(graph)
