@@ -240,7 +240,10 @@ def completion_character_check(lam, order, hooks=None):
 
     hooks overrides the diagram's hook multiset (forcing a failure is useful
     for exercising the reporting path); the genuine multiset always passes.
+    Anything but a Partition raises TypeError.
     """
+    if not isinstance(lam, Partition):
+        raise TypeError(f"expected Partition, got {type(lam).__name__}")
     if order < 1:
         raise ValueError("order must be positive")
     if hooks is None:

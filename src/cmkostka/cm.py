@@ -18,7 +18,7 @@ Each kernel's docstring gives its mechanism and its cost.
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, index, mul, sub
+from operator import index, mul, sub
 
 from .partitions import Partition
 
@@ -111,6 +111,10 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return RationalMatrix, (self.entries,)
+
     @property
     def entries(self):
         """The entries as a tuple of Fraction rows."""
@@ -144,21 +148,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, row)) for row in self.entries]})"
 
-    def _entrywise(self, other, op, symbol):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}")
-        den = lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        return RationalMatrix._from_ints(
-            den, [[op(a * s, b * t) for a, b in zip(row, other_row)] for row, other_row in zip(self._ints, other._ints)]
-        )
-
-    def __add__(self, other):
-        return self._entrywise(other, add, "+")
-
-    def __sub__(self, other):
-        return self._entrywise(other, sub, "-")
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -172,11 +161,6 @@ class RationalMatrix:
     def transpose(self):
         # the transpose of a reduced form is reduced
         return object.__new__(RationalMatrix)._hold(self._den, tuple(zip(*self._ints)), None)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
 
     def _pivot_columns(self):
         """Pivot columns of the row echelon form, by fraction-free (Bareiss)
@@ -341,13 +325,13 @@ class CMPointRegular:
     def __setattr__(self, name, value):
         raise AttributeError("CMPointRegular is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return CMPointRegular, (self.y, self.alpha)
+
     @property
     def n(self):
         return len(self.y)
-
-    def concatenated(self, other):
-        """Join with another point; the supports must stay disjoint."""
-        return CMPointRegular(self.y + other.y, self.alpha + other.alpha)
 
 
 class EmbeddedPoint:
@@ -418,6 +402,11 @@ class EmbeddedPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedPoint is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the public constructor, so a copied
+        # Wilson point certifies its columns by the row echelon
+        return EmbeddedPoint, (self.ideal, self.subspace)
 
     @property
     def n(self):

@@ -41,6 +41,7 @@ from .cm import (
     wilson_representative,
 )
 from .partitions import (
+    _SYT_ENUMERATION_BOUND,
     enumerate_gamma_partitions,
     enumerate_partitions,
     gamma_dimension,
@@ -57,7 +58,7 @@ from .qpoly import (
     qmultinomial,
     substitute_inverse,
 )
-from .schur import expand_p1n, expand_p1n_wreath, multiplicity_identity_check
+from .schur import _MAX_N, _MAX_n, expand_p1n, expand_p1n_wreath, multiplicity_identity_check
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _check_hook_conjugation(lim):
 
 
 def _check_tableau_count_oracle(lim):
-    for lam in _partitions_up_to(lim.cap_n(10)):
+    for lam in _partitions_up_to(lim.cap_n(_SYT_ENUMERATION_BOUND)):
         yield
         formula = syt_count(lam)
         enumerated = syt_enumerate(lam)
@@ -336,8 +337,8 @@ def _check_wreath_slot_symmetry(lim):
 
 
 def _check_wreath_dimension_chain(lim):
-    for N in range(1, lim.cap_N(4) + 1):
-        for n in range(lim.cap_n(6) + 1):
+    for N in range(1, lim.cap_N(_MAX_N) + 1):
+        for n in range(lim.cap_n(_MAX_n) + 1):
             yield
             if not multiplicity_identity_check(N, n):
                 return f"N={N} n={n}: dimension bookkeeping failed"
@@ -443,7 +444,7 @@ def _check_embedding_block_factorization(lim):
             CMPointRegular([Fraction(v, den) for v in part], [Fraction(rng.randint(-6, 6)) for _ in part])
             for part in (numerators[:m], numerators[m:])
         )
-        joint = wilson_embed(first.concatenated(second))
+        joint = wilson_embed(CMPointRegular(first.y + second.y, first.alpha + second.alpha))
         factors = [wilson_embed(first), wilson_embed(second)]
         if joint.ideal != tuple(poly_mul(list(factors[0].ideal), list(factors[1].ideal))):
             return "joint ideal is not the product of the two factors"

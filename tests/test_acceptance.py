@@ -129,7 +129,7 @@ def test_criterion_7_profile_and_embedding_round_trips(acceptance_report):
         numerators = rng.sample(range(-25, 26), m + k)
         first = CMPointRegular(numerators[:m], [rng.randint(-5, 5) for _ in range(m)])
         second = CMPointRegular(numerators[m:], [rng.randint(-5, 5) for _ in range(k)])
-        joint = wilson_embed(first.concatenated(second))
+        joint = wilson_embed(CMPointRegular(first.y + second.y, first.alpha + second.alpha))
         for part in (first, second):
             small = wilson_embed(part)
             for y_i, a_i in zip(part.y, part.alpha):

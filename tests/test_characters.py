@@ -549,7 +549,8 @@ def test_fixed_point_exponents_take_the_size_from_the_partition():
     "label", [GammaPartition((Partition((1,)), Partition(()))), (2, 1), "2,1", None], ids=repr
 )
 def test_fixed_point_data_rejects_other_types(label):
-    for call in (fixed_point_exponents, tangent_weights):
+    # the completion check refuses the type before it looks at the order
+    for call in (fixed_point_exponents, tangent_weights, lambda lam: completion_character_check(lam, 0)):
         with pytest.raises(TypeError, match=f"^expected Partition, got {type(label).__name__}$"):
             call(label)
 

@@ -473,6 +473,16 @@ def test_nonnegative_tangent_weight_fails_the_sign_split(monkeypatch, weight):
     assert result.detail == f"lambda=-: nonnegative tangent weight in (-1, {weight})"
 
 
+def test_a_map_that_is_not_of_order_two_fails_the_involution_check(monkeypatch):
+    # scaling by 2 keeps every pair rank one, but applying it twice scales by 4
+    from cmkostka.cm import cstar_act
+
+    monkeypatch.setattr(verify, "involution", lambda x, y: cstar_act(2, x, y))
+    (result,) = verify.run_checks(names=["involution-preserves-rank-one"], n=3)
+    assert not result.passed
+    assert result.detail.endswith(": applying the involution twice changed the pair")
+
+
 BAD_LIMITS = [
     ({"n": 0}, ValueError), ({"n": -2}, ValueError), ({"N": 0}, ValueError), ({"N": -3}, ValueError),
     ({"n": 2.5}, TypeError), ({"n": "3"}, TypeError), ({"seed": 1.5}, TypeError), ({"seed": "1"}, TypeError),
