@@ -4,7 +4,7 @@ The normalization used throughout: K has constant term 1, and the weight of
 the line spanned by z^a under the contracting torus action is -a.
 
 The hook formula sees only a label's hook multiset, so everything here is
-keyed on _hook_key's (n, hooks) and held in two bounded caches.
+keyed on _hook_key's multiset and held in two bounded caches.
 _hook_kostka holds the Kostka polynomial with the integer word it is read
 from; kostka and kostka_wreath read it.  _hook_character holds the
 (kostka, character, dimension) payload of a report, built from the first
@@ -58,8 +58,8 @@ def _report(label, payload):
 
 
 def _hook_key(label):
-    """(n, hook multiset as a decreasing tuple): all the hook formula sees
-    of a label, with n the hook count, which is the label's size.
+    """The hook multiset as a decreasing tuple: all the hook formula sees of
+    a label.  Its length, the hook count, is the label's size n.
 
     The hooks are those of the cells of a Partition, as hook_lengths returns
     them, or those of every component of a GammaPartition, the components'
@@ -67,14 +67,13 @@ def _hook_key(label):
     TypeError.
     """
     if isinstance(label, Partition):
-        hooks = hook_lengths(label)
-        return len(hooks), hooks
+        return hook_lengths(label)
     if isinstance(label, GammaPartition):
         hooks = []
         for component in label.components:
             hooks += hook_lengths(component)
         hooks.sort(reverse=True)
-        return len(hooks), tuple(hooks)
+        return tuple(hooks)
     raise TypeError(f"expected Partition or GammaPartition, got {type(label).__name__}")
 
 
@@ -114,15 +113,15 @@ def _poly(words, low):
 
 
 @lru_cache(maxsize=4096)
-def _hook_kostka(n, hooks):
+def _hook_kostka(hooks):
     """(kostka, word, bits, deg, d) for K = [n]! / prod over hooks h of [h],
-    [m] = 1 + q + ... + q^(m-1), with word = K(2^bits), or raise
-    NonExactDivision when the word fails its certificate.  With n hooks K is
-    (1-q)...(1-q^n) / prod (1 - q^h), deg = n(n-1)/2 - sum (h - 1) is its
-    degree and d = n! / prod h its value at 1.
+    n the number of hooks and [m] = 1 + q + ... + q^(m-1), with
+    word = K(2^bits), or raise NonExactDivision when the word fails its
+    certificate.  K is (1-q)...(1-q^n) / prod (1 - q^h), deg =
+    n(n-1)/2 - sum (h - 1) is its degree and d = n! / prod h its value at 1.
 
-    A multiset passes the guard when it has n hooks, each at least 1, d is
-    an integer and deg >= 0.  bits is then the least multiple of 64 with
+    A multiset passes the guard when each hook is at least 1, d is an
+    integer and deg >= 0.  bits is then the least multiple of 64 with
     2^bits > max(n!, d^2), which is 64 for every partition of n <= 20 and
     every label the CLI batch caps admit, and word is the quotient of one
     exact divmod of the cached [n]! word by the product of the cached [h]
@@ -149,17 +148,17 @@ def _hook_kostka(n, hooks):
     such quotient: again nonnegative, with value at 1 the multinomial times
     the components' tableau counts, which is d.  Each coefficient is then
     at most d < 2^bits, so the word's digits are K's coefficients and the
-    certificate holds.  Other multisets can fail: 3,3,1,1 with n = 4 fails
-    the guard, 2,2,2,1 with n = 4 leaves a remainder, and 5,4,3,3,2,2 with
-    n = 6 has the quotient 1 - q + q^2, whose negative coefficient shows as
-    borrowed digits.
+    certificate holds.  Other multisets can fail: 3,3,1,1 fails the guard,
+    2,2,2,1 leaves a remainder, and 5,4,3,3,2,2 has the quotient
+    1 - q + q^2, whose negative coefficient shows as borrowed digits.
 
     The character needs no further check: each coefficient of K^2 is at
     most K(1)^2 = d^2 < 2^bits, so the digits of word^2 are those of K^2.
     K is palindromic of degree deg, because each [m] is, so
     K(q) K(1/q) = q^-deg K(q)^2.
     """
-    if len(hooks) == n and min(hooks, default=1) >= 1:
+    n = len(hooks)
+    if min(hooks, default=1) >= 1:
         top = factorial(n)
         d, r = divmod(top, prod(hooks))
         deg = n * (n + 1) // 2 - sum(hooks)
@@ -170,13 +169,13 @@ def _hook_kostka(n, hooks):
                 digits = _words(word, bits, deg + 1)
                 if sum(digits) == d:
                     return _poly(digits, 0), word, bits, deg, d
-    raise NonExactDivision(f"n = {n}, hooks {hooks}: no label has these hooks; the word fails its certificate", {})
+    raise NonExactDivision(f"hooks {hooks}: no label has these hooks; the word fails its certificate", {})
 
 
 @lru_cache(maxsize=4096)
-def _hook_character(n, hooks):
+def _hook_character(hooks):
     # (kostka, character, dimension): the fields of a report after its label
-    k, word, bits, deg, d = _hook_kostka(n, hooks)
+    k, word, bits, deg, d = _hook_kostka(hooks)
     return k, _poly(_words(word * word, bits, 2 * deg + 1), -deg), d
 
 
@@ -187,25 +186,25 @@ def kostka(label):
     the number of cells; a GammaPartition's cells are those of all its
     components.
     """
-    return _hook_kostka(*_hook_key(label))[0]
+    return _hook_kostka(_hook_key(label))[0]
 
 
 def kostka_wreath(gp):
     """Wreath Kostka polynomial of an N-tuple of partitions; the same formula as kostka."""
-    return _hook_kostka(*_hook_key(gp))[0]
+    return _hook_kostka(_hook_key(gp))[0]
 
 
 def character(label):
     """Zero-fiber character report for a Partition or GammaPartition label.
 
     One hook key, one cache read and one report: the Kostka polynomial, the
-    character and the dimension are held together per hook count and hook
-    multiset in a bounded cache, so labels sharing a multiset (conjugates,
-    slot-permuted wreath labels) receive the same immutable objects.  The
-    report is built by _report, and equals CharacterReport(label, kostka,
-    character, dimension).
+    character and the dimension are held together per hook multiset in a
+    bounded cache, so labels sharing a multiset (conjugates, slot-permuted
+    wreath labels) receive the same immutable objects.  The report is built
+    by _report, and equals CharacterReport(label, kostka, character,
+    dimension).
     """
-    return _report(label, _hook_character(*_hook_key(label)))
+    return _report(label, _hook_character(_hook_key(label)))
 
 
 def fixed_point_exponents(lam):

@@ -8,12 +8,12 @@ weakly increasing sequence padded with zeros to a fixed length; use
 Each label type has one builder, its ``_hold``, which only sets the slots.
 The public constructors check outside input and then call it; producers
 whose parts come from a label that is already valid (``grow``, ``shrink``,
-``conjugate``, the enumerators, ``permuted`` and ``with_component``) call it
-directly.  Pickle and copy rebuild a label through its public
-constructor.  The partitions of n, the wreath labels of (N, n) and the hook
-multiset of each parts tuple are each built once, in bounded caches keyed
-on those plain values, never on a label.  The enumerators return a fresh
-list on every call.
+``conjugate``, the enumerators, ``permuted`` and the wreath Pieri step in
+``schur``) call it directly.  Pickle and copy rebuild a label through its
+public constructor.  The partitions of n, the wreath labels of (N, n) and
+the hook multiset of each parts tuple are each built once, in bounded
+caches keyed on those plain values, never on a label.  The enumerators
+return a fresh list on every call.
 """
 
 import operator
@@ -76,12 +76,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __len__(self):
-        return len(self.parts)
 
     def __repr__(self):
         return f"Partition({self.parts})"
@@ -198,16 +192,6 @@ class GammaPartition:
 
     def __str__(self):
         return ";".join(str(c) for c in self.components)
-
-    def with_component(self, index, part):
-        """The label with component slot index, 0 <= index < N, replaced by
-        part; any other slot raises ValueError, and a part that is not a
-        Partition raises TypeError."""
-        if not 0 <= index < self.N:
-            raise ValueError(f"slot {index} is outside the {self.N} component slots")
-        if not isinstance(part, Partition):
-            raise TypeError(f"components must be Partition, got {type(part).__name__}")
-        return _new_gamma(self.components[:index] + (part,) + self.components[index + 1:])
 
     def permuted(self, perm):
         """Reindex the component slots by perm, a permutation of range(N):

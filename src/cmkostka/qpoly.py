@@ -75,12 +75,6 @@ class LaurentPoly:
                 out[exp] = s
         return LaurentPoly(out)
 
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """The product, by the schoolbook double loop over the terms; stored
         sparsely, like its factors."""
@@ -227,7 +221,7 @@ def qmultinomial(n, sizes):
 
     Equals qfactorial_product(n) divided by the product of component
     qfactorial_products; the sizes must be nonnegative and sum to n.  The
-    result depends only on n and the multiset of sizes, and is cached on them.
+    result depends only on the multiset of sizes, and is cached on it.
     """
     n = index(n)
     key = tuple(sorted(map(index, sizes)))
@@ -235,15 +229,15 @@ def qmultinomial(n, sizes):
         raise ValueError(f"sizes {sizes} must be nonnegative")
     if sum(key) != n:
         raise ValueError(f"sizes {sizes} do not sum to {n}")
-    return _qmultinomial(n, key)
+    return _qmultinomial(key)
 
 
 @lru_cache(maxsize=1024)
-def _qmultinomial(n, sizes):
+def _qmultinomial(sizes):
     den = LaurentPoly({0: 1})
     for s in sizes:
         den = den * _qfactorial_product(s)
-    return exact_divide(_qfactorial_product(n), den)
+    return exact_divide(_qfactorial_product(sum(sizes)), den)
 
 
 def geometric_product_series(exponents, order):

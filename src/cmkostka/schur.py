@@ -18,6 +18,7 @@ from .partitions import (
     BoundExceeded,
     GammaPartition,
     Partition,
+    _new_gamma,
     enumerate_gamma_partitions,
     gamma_dimension,
     hook_lengths,
@@ -37,7 +38,8 @@ class SchurExpansion:
 
 
 def _wreath_successors(gp):
-    return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
+    slots = gp.components
+    return [_new_gamma(slots[:chi] + (mu,) + slots[chi + 1:]) for chi, part in enumerate(slots) for mu in part.grow()]
 
 
 @lru_cache(maxsize=128)

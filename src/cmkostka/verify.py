@@ -234,7 +234,7 @@ def _check_kostka_conjugation(lim):
     for lam in _partitions_up_to(lim.cap_n(10)):
         yield
         mu = lam.conjugate()
-        if kostka(lam) != _hook_kostka(mu.size, _cell_hooks(mu))[0]:
+        if kostka(lam) != _hook_kostka(_cell_hooks(mu))[0]:
             return f"lambda={lam}: polynomial differs from conjugate's"
 
 
@@ -400,7 +400,7 @@ def _check_involution_preserves_rank_one(lim):
 
 
 def _check_eigenvalue_polynomial(lim):
-    rng = lim.rng("eigenvalue-polynomial")
+    rng = lim.rng("eigenvalue-polynomial-match")
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         char_y = RationalMatrix.diagonal(point.y).charpoly()  # the normal form's Y
@@ -428,7 +428,7 @@ def _check_embedding_component_lines(lim):
             yield
             line = component_line(embedded, y_i)
             if line != (Fraction(1), -a_i):
-                return f"y_i={y_i}: projected line {line} != (1, {-a_i})"
+                return f"y_i={y_i}: projected line ({line[0]}, {line[1]}) != (1, {-a_i})"
 
 
 def _check_embedding_block_factorization(lim):
@@ -447,7 +447,7 @@ def _check_embedding_block_factorization(lim):
         joint = wilson_embed(CMPointRegular(first.y + second.y, first.alpha + second.alpha))
         factors = [wilson_embed(first), wilson_embed(second)]
         if joint.ideal != tuple(poly_mul(list(factors[0].ideal), list(factors[1].ideal))):
-            return "joint ideal is not the product of the two factors"
+            return f"{_y_label(first)} and {_y_label(second)}: joint ideal is not the product of the two factors"
         for part, small in zip((first, second), factors):
             for y_i in part.y:
                 if component_line(joint, y_i) != component_line(small, y_i):

@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, renderings, determinism, JSON schemas."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +14,10 @@ from itertools import chain
 
 import pytest
 
-from cmkostka import cli, partitions, verify
+from cmkostka import cli, partitions, schur, verify
 from cmkostka.cli import main
+from cmkostka.partitions import GammaPartition, Partition
+from cmkostka.qpoly import LaurentPoly
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +249,16 @@ def test_integer_flags_take_only_the_form_str_writes(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [(["kostka", "--n", "0"], "--n"), (["verify-all", "--N", "0"], "--N")])
+def test_zero_counts_are_refused(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: expected a positive integer, got 0\n")
+
+
 def test_negative_seed_still_runs(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--n", "2", "--N", "1", "--seed", "-3", "--json")
     assert code == 0 and json.loads(out)["seed"] == "-3"
@@ -463,6 +477,124 @@ def test_conjugation_checks_fail_when_a_conjugate_pair_shares_wrong_hooks(monkey
         assert (kostkas.items, kostkas.detail) == (9, "lambda=3,1: polynomial differs from conjugate's")
     else:
         assert kostkas.detail.startswith("raised NonExactDivision")
+
+
+def test_randomized_checks_draw_under_their_registry_names(monkeypatch):
+    # each generator comes from the seed and the check's own registry name
+    labels = []
+    genuine = verify._Limits.rng
+
+    def spy(self, name):
+        labels.append(name)
+        return genuine(self, name)
+
+    monkeypatch.setattr(verify._Limits, "rng", spy)
+    assert all(result.passed for result in verify.run_checks(n=3, N=2))
+    assert len(labels) == len(set(labels)) == 9
+    assert set(labels) <= set(verify.check_names())
+
+
+P21 = Partition((2, 1))
+G21 = GammaPartition((P21,))
+
+
+def _off_at(label, change):
+    """A patch factory: the genuine kernel with change applied to its value
+    at the one input label, its first argument."""
+    return lambda genuine: lambda x, *rest: change(genuine(x, *rest)) if x == label else genuine(x, *rest)
+
+
+def _bumped(label):
+    """A patch factory for the expanders: one more path to label, when it has
+    the expansion's size.  Each expansion holds a fresh dict, so no cached
+    level changes."""
+
+    def bump(expansion):
+        if label.size == expansion.n:
+            expansion.coefficients[label] = expansion.coefficients.get(label, 0) + 1
+        return expansion
+
+    return lambda genuine: lambda *args: bump(genuine(*args))
+
+
+_Q = LaurentPoly({1: 1})
+_ONE = LaurentPoly({0: 1})
+_POINT = r"y=\[.*\]"
+_POLY = r"-?[0-9q^*+\- ]+"
+
+# (check, namespace, kernel, patch factory, detail pattern): each patch breaks
+# one kernel the check reads, and the detail must name the offending input
+BROKEN_KERNELS = [
+    ("hook-count-and-sum", verify, "hook_lengths", _off_at(P21, lambda h: h[1:]),
+     r"lambda=2,1: hooks \(1, 1\) vs size 3, sum 2 != 5"),
+    ("tableau-count-oracle", verify, "syt_enumerate", _off_at(P21, lambda m: m + 1),
+     r"lambda=2,1: hook formula 2 != corner recursion 3"),
+    ("tableau-square-sum", verify, "syt_count", _off_at(P21, lambda m: m + 1),
+     r"n=3: sum of squared tableau counts 11 != 6"),
+    ("wreath-order-sum", verify, "gamma_dimension", _off_at(G21, lambda m: m + 1),
+     r"N=1 n=3: sum of squared dimensions 11 != 6"),
+    ("division-round-trip", verify, "exact_divide", lambda genuine: lambda a, b: genuine(a, b) + _Q,
+     rf"\(a\*b\)/b != a for a = {_POLY}, b = {_POLY}"),
+    ("inverse-substitution", verify, "substitute_inverse", lambda genuine: lambda a: genuine(a) + _Q,
+     rf"double inversion changed {_POLY}"),
+    ("evaluation-multiplicative", verify, "evaluate_at_one", lambda genuine: lambda a: genuine(a) + 1,
+     rf"value at 1 not multiplicative on a = {_POLY}, b = {_POLY}"),
+    ("tangent-weights-negated-hooks", verify, "tangent_weights", _off_at(P21, lambda w: w[1:]),
+     r"lambda=2,1: tangent weights \(-1, -1\) != negated hooks \(-3, -1, -1\)"),
+    ("kostka-normalization", verify, "kostka", _off_at(P21, lambda k: k * _Q),
+     r"lambda=2,1: constant term of q \+ q\^2 is not 1"),
+    ("kostka-dimension-at-one", verify, "kostka", _off_at(P21, lambda k: k + _ONE),
+     r"lambda=2,1: value at 1 is 3, tableau count 2"),
+    ("kostka-major-index-oracle", verify, "kostka", _off_at(P21, lambda k: k * _Q),
+     r"lambda=2,1: q \+ q\^2 != major-index polynomial 1 \+ q"),
+    ("wreath-kostka-factorization", verify, "kostka_wreath", _off_at(G21, lambda k: k * _Q),
+     r"Lambda=2,1: q \+ q\^2 != factored form 1 \+ q"),
+    ("character-palindrome-square", verify, "character",
+     _off_at(P21, lambda r: dataclasses.replace(r, character=r.character * _Q)),
+     r"lambda=2,1: character 1 \+ 2\*q \+ q\^2 not palindromic"),
+    ("multiplicity-hook-oracle", verify, "expand_p1n", _bumped(P21),
+     r"lambda=2,1: path count 3 != hook formula 2"),
+    ("multiplicity-square-sum", verify, "expand_p1n", _bumped(P21),
+     r"n=3: sum of squared multiplicities 11 != 6"),
+    ("wreath-multiplicity-square-sum", verify, "expand_p1n_wreath", _bumped(G21),
+     r"N=1 n=3: sum of squared multiplicities 11 != 6"),
+    ("wreath-slot-symmetry", verify, "expand_p1n_wreath", _bumped(GammaPartition((Partition((1,)), Partition(())))),
+     r"N=2 n=1: slot permutation \(1, 0\) changed the expansion"),
+    # multiplicity_identity_check's three identities, one patch each: the hook
+    # product divides n!, the quotient is the dimension, and the Kostka value
+    ("wreath-dimension-chain", schur, "hook_lengths", _off_at(P21, lambda h: (4,) + h[1:]),
+     r"N=1 n=3: dimension bookkeeping failed"),
+    ("wreath-dimension-chain", schur, "gamma_dimension", _off_at(G21, lambda m: m + 1),
+     r"N=1 n=3: dimension bookkeeping failed"),
+    ("wreath-dimension-chain", schur, "kostka_wreath", _off_at(G21, lambda k: k + _ONE),
+     r"N=1 n=3: dimension bookkeeping failed"),
+    ("scaling-preserves-rank-one", verify, "cstar_act", lambda genuine: lambda c, x, y: (x, y.scaled(c)),
+     rf"{_POINT}, c=-?[0-9/]+: scaling broke the rank-one condition"),
+    ("eigenvalue-polynomial-match", verify, "poly_from_roots", lambda genuine: lambda roots: genuine([*roots, 0]),
+     rf"{_POINT}: characteristic polynomial mismatch"),
+    ("profile-round-trip", verify, "schubert_profile", lambda genuine: lambda s: genuine(s).conjugate(),
+     r"lambda=2: profile of its fixed subspace came back as 1,1"),
+    # wilson_embed's own certificate raises on a broken embedding, so the
+    # check's comparison is reached through the projection
+    ("embedding-component-lines", verify, "component_line",
+     lambda genuine: lambda point, y_i: (1, genuine(point, y_i)[1] + 1),
+     r"y_i=14: projected line \(1, 6\) != \(1, 5\)"),
+    ("embedding-block-factorization", verify, "poly_mul", lambda genuine: lambda a, b: genuine(a, b) + [1],
+     rf"{_POINT} and {_POINT}: joint ideal is not the product of the two factors"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, namespace, kernel, patch, detail", BROKEN_KERNELS, ids=[f"{row[0]}:{row[2]}" for row in BROKEN_KERNELS]
+)
+def test_every_check_fails_on_a_broken_kernel(capsys, monkeypatch, name, namespace, kernel, patch, detail):
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(entry for entry in verify._REGISTRY if entry[0] == name))
+    monkeypatch.setattr(namespace, kernel, patch(getattr(namespace, kernel)))
+    code, out, err = run_cli(capsys, "verify-all")
+    assert (code, err) == (1, "")
+    failed, summary = out.splitlines()
+    assert re.fullmatch(f"FAIL {name}: {detail}", failed), failed
+    assert summary == f"1 checks, 1 failed: {name}"
 
 
 @pytest.mark.parametrize("weight", [0, 2])

@@ -147,6 +147,7 @@ def test_matrix_arithmetic_golden():
     assert a.scaled(Fraction(1, 2)).entries == RationalMatrix(
         [[Fraction(1, 2), 1], [Fraction(3, 2), 2]]
     ).entries
+    assert repr(a.scaled(Fraction(-1, 2))) == "RationalMatrix([['-1/2', '-1'], ['-3/2', '-2']])"
 
 
 def test_matrix_dimension_errors():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmkostka import partitions as partitions_module
+from cmkostka import schur
 from cmkostka.partitions import (
     BoundExceeded,
     Cell,
@@ -92,6 +93,8 @@ def test_enumeration_order_for_four():
     for n in (4.0, Fraction(4), "4"):
         with pytest.raises(TypeError):
             enumerate_partitions(n)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        enumerate_partitions(-1)
 
 
 def test_enumeration_counts_match_pentagonal_recurrence():
@@ -190,27 +193,13 @@ def test_gamma_partition_basics():
     assert swapped == gp
     with pytest.raises(TypeError):
         GammaPartition(((1,),))
+    with pytest.raises(ValueError, match="need at least one component"):
+        GammaPartition(())
     three = GammaPartition((Partition((2,)), Partition(()), Partition((1, 1))))
     assert str(three.permuted((2, 0, 1))) == "1,1;2;-"
     for perm in ((0,), (0, 0, 0), (0, 1, 3), (0, 1, 2, 3), (), (2, 1, -1)):
         with pytest.raises(ValueError, match="not a permutation"):
             three.permuted(perm)
-
-
-def test_with_component_replaces_one_valid_slot():
-    three = GammaPartition((Partition((1,)), Partition((2,)), Partition(())))
-    replaced = three.with_component(2, Partition((3,)))
-    assert str(replaced) == "1;2;3" and replaced.N == 3
-    assert str(three.with_component(0, Partition(()))) == "-;2;-"
-    for index in (-1, 3, 5, -4):
-        with pytest.raises(ValueError, match="outside the 3 component slots"):
-            three.with_component(index, Partition((3,)))
-
-
-def test_with_component_refuses_a_part_that_is_not_a_partition():
-    three = GammaPartition((Partition((1,)), Partition((2,)), Partition(())))
-    with pytest.raises(TypeError, match="components must be Partition"):
-        three.with_component(0, (2, 1))
 
 
 def _assert_same_partition(lam):
@@ -238,9 +227,8 @@ def test_trusted_producers_match_the_checking_constructors():
             for gp in enumerate_gamma_partitions(N, n):
                 _assert_same_gamma(gp)
                 _assert_same_gamma(gp.permuted(tuple(reversed(range(N)))))
-                for chi, component in enumerate(gp.components):
-                    for mu in component.grow():
-                        _assert_same_gamma(gp.with_component(chi, mu))
+                for successor in schur._wreath_successors(gp):
+                    _assert_same_gamma(successor)
 
 
 def test_enumerations_hand_out_fresh_lists():
@@ -274,13 +262,16 @@ def test_gamma_enumeration_first_and_last():
     for N, n in ((2.0, 2), (Fraction(2), 2), (2, 2.0), (2, Fraction(2)), ("2", 2)):
         with pytest.raises(TypeError):
             enumerate_gamma_partitions(N, n)
+    for N, n, reason in ((0, 1, "N must be positive"), (1, -1, "n must be nonnegative")):
+        with pytest.raises(ValueError, match=reason):
+            enumerate_gamma_partitions(N, n)
 
 
 def test_enumeration_is_strictly_decreasing():
     # reverse-lexicographic with no repeats
     for n in range(26):
         parts = enumerate_partitions(n)
-        assert all(b < a for a, b in zip(parts, parts[1:]))
+        assert all(b.parts < a.parts for a, b in zip(parts, parts[1:]))
 
 
 def test_gamma_enumeration_order():

@@ -77,7 +77,7 @@ def test_addition_cancels():
     p = LaurentPoly({0: 1, 1: 2})
     q = LaurentPoly({1: -2, 3: 4})
     assert (p + q).coeffs == {0: 1, 3: 4}
-    assert not p - p
+    assert not p + LaurentPoly({0: -1, 1: -2})
 
 
 def test_multiplication_golden():
@@ -126,7 +126,7 @@ def test_product_cancellation(k):
     # the product keeps only 1 - q^(k+1) times c
     c = _dense(12)
     product = _assert_product_matches_oracle(run, one_minus_q(1) * c)
-    assert product == c - c * LaurentPoly({k + 1: 1})
+    assert product == c + c * LaurentPoly({k + 1: -1})
 
 
 @pytest.mark.parametrize("t", [9, 12, 31])
@@ -135,7 +135,8 @@ def test_product_coefficient_bound_is_tight(t, m):
     # the middle coefficient t * m^2 is exactly min(terms) * max|a| * max|b|
     a = LaurentPoly({i: m for i in range(t)})
     assert _assert_product_matches_oracle(a, a).coeffs[t - 1] == t * m * m
-    assert _assert_product_matches_oracle(-a, a).coeffs[t - 1] == -t * m * m
+    negated = LaurentPoly({i: -m for i in range(t)})
+    assert _assert_product_matches_oracle(negated, a).coeffs[t - 1] == -t * m * m
 
 
 wide_laurent_polys = st.builds(
@@ -173,8 +174,9 @@ def test_shift_truncate_exponents():
     assert (p * LaurentPoly({2: 1})).coeffs == {1: 1, 4: 3}
     assert p.truncated(1).coeffs == {-1: 1}
     assert p.min_exponent() == -1 and p.max_exponent() == 2
-    with pytest.raises(ValueError):
-        LaurentPoly().min_exponent()
+    for extreme in (LaurentPoly().min_exponent, LaurentPoly().max_exponent):
+        with pytest.raises(ValueError, match="zero polynomial has no exponents"):
+            extreme()
 
 
 def test_qfactorial_product_golden():

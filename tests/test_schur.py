@@ -30,7 +30,9 @@ def _pieri_expansion(start, successors, n):
 
 
 def _wreath_successors(gp):
-    return [gp.with_component(chi, mu) for chi, component in enumerate(gp.components) for mu in component.grow()]
+    # through the checking constructor, not the package's unchecked builder
+    slots = gp.components
+    return [GammaPartition(slots[:chi] + (mu,) + slots[chi + 1:]) for chi, part in enumerate(slots) for mu in part.grow()]
 
 
 def test_expansions_match_the_step_by_step_reference():
