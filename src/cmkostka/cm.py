@@ -606,6 +606,11 @@ def poly_from_roots(roots):
     return tuple(Fraction(q_k, d ** (n - k)) for k, q_k in enumerate(_root_product(a)))
 
 
+def _w_minus(a):
+    """The linear factor w - a as failure details print it: w + 3 at a = -3."""
+    return f"w - {a}" if a >= 0 else f"w + {-a}"
+
+
 def _divide_by_double_root(coeffs, r):
     """Quotient of an integer polynomial by (w - r)^2, as two synthetic
     divisions by w - r in one pass: the second division takes each quotient
@@ -622,7 +627,7 @@ def _divide_by_double_root(coeffs, r):
     first = first * r + coeffs[1]
     remainders = (first * r + coeffs[0], second * r + first)
     if any(remainders):
-        raise ArithmeticError(f"division by (w - {r})^2 left remainders {remainders}")
+        raise ArithmeticError(f"division by ({_w_minus(r)})^2 left remainders {remainders}")
     return out
 
 
@@ -678,7 +683,7 @@ def _wilson_images(ideal_ints, columns, roots, square):
     images = {}
     for h, a in zip(columns, roots):
         if len(h) != 2 * n or not _is_quotient_times_linear(h, square, a):
-            raise ValueError(f"column at {a} is not Q^2 / (w - {a})^2 times a linear factor")
+            raise ValueError(f"column at {a} is not Q^2 / ({_w_minus(a)})^2 times a linear factor")
         image = _value_and_derivative(h, a)
         if image == (0, 0):
             raise ValueError(f"column at {a} projects to zero there")

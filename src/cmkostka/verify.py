@@ -422,7 +422,7 @@ def _check_profile_round_trip(lim):
 
 def _check_embedding_component_lines(lim):
     rng = lim.rng("embedding-component-lines")
-    for point in _random_points(rng, 30, min(5, lim.cap_n(12))):
+    for point in _random_points(rng, 30, lim.cap_n(5)):
         embedded = wilson_embed(point)
         for y_i, a_i in zip(point.y, point.alpha):
             yield
@@ -433,7 +433,7 @@ def _check_embedding_component_lines(lim):
 
 def _check_embedding_block_factorization(lim):
     rng = lim.rng("embedding-block-factorization")
-    max_n = min(4, lim.cap_n(12))
+    max_n = lim.cap_n(4)
     for _ in range(20):
         yield
         m = rng.randint(1, max_n)

@@ -33,8 +33,6 @@ from cmkostka.partitions import (
     enumerate_partitions,
     gamma_dimension,
     hook_lengths,
-    major_index,
-    standard_tableaux,
     syt_count,
 )
 from cmkostka.qpoly import (
@@ -44,22 +42,8 @@ from cmkostka.qpoly import (
     exact_divide,
     one_minus_q,
     qfactorial_product,
-    qmultinomial,
     substitute_inverse,
 )
-
-
-@st.composite
-def partitions(draw, max_size=8):
-    n = draw(st.integers(min_value=0, max_value=max_size))
-    parts = []
-    remaining, cap = n, n
-    while remaining > 0:
-        p = draw(st.integers(min_value=1, max_value=min(cap, remaining)))
-        parts.append(p)
-        cap = p
-        remaining -= p
-    return Partition(parts)
 
 
 def test_kostka_golden_values():
@@ -103,76 +87,48 @@ def test_character_rejects_other_types():
         kostka("2,1")
 
 
-def _long_division_kostka(components):
-    """The hook formula by Fraction long division, independent of the integer kernel."""
-    hooks = [h for comp in components for h in hook_lengths(comp)]
-    den = prod(map(one_minus_q, hooks), start=LaurentPoly({0: 1}))
-    return exact_divide(qfactorial_product(sum(c.size for c in components)), den)
-
-
-def test_kostka_matches_long_division_oracle():
-    for n in range(11):
-        for lam in enumerate_partitions(n):
-            k = kostka(lam)
-            assert k == _long_division_kostka([lam])
-            assert 0 not in k.coeffs.values()
-    for N in (1, 2, 3):
-        for n in range(6):
-            for gp in enumerate_gamma_partitions(N, n):
-                expected = _long_division_kostka(gp.components)
-                assert kostka_wreath(gp) == expected
-                assert kostka(gp) == expected
-
-
-def _fresh_kostka(components):
-    """The hook formula straight from one_minus_quotient, with hooks read cell
-    by cell, so that neither the quotient cache nor the hook cache is used."""
-    hooks = [comp.hook(r, c) for comp in components for r, c in comp.cells()]
-    return one_minus_quotient(range(1, sum(c.size for c in components) + 1), hooks)
-
-
-def _memo_labels():
-    for n in range(15):
-        for lam in enumerate_partitions(n):
-            yield lam, [lam]
-    for N in (1, 2, 3):
-        for n in range(7):
-            for gp in enumerate_gamma_partitions(N, n):
-                yield gp, gp.components
+def _labels():
+    """(label, hooks) for every partition of n <= 14 and every wreath label
+    with N <= 3, n <= 6, the hooks read cell by cell through Partition.hook,
+    so that neither the hook cache nor the hook key is used."""
+    labels = [(lam, (lam,)) for n in range(15) for lam in enumerate_partitions(n)]
+    labels += [(gp, gp.components) for N in (1, 2, 3) for n in range(7) for gp in enumerate_gamma_partitions(N, n)]
+    return [(label, tuple(sorted((comp.hook(r, c) for comp in components for r, c in comp.cells()), reverse=True)))
+            for label, components in labels]
 
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 def test_memoised_kostka_matches_fresh_quotient(cache):
+    # the oracle is _dense_payload, with the dimension also against syt_count
+    # or gamma_dimension, which never read the cached value at one
+    labels = _labels()
     if cache == "cold":
         _clear_hook_caches()
         partitions_module._hook_lengths.cache_clear()
     else:
-        for label, _ in _memo_labels():
+        for label, _ in labels:
             character(label)
     warm_misses = characters._hook_character.cache_info().misses
-    for label, components in _memo_labels():
-        expected = _fresh_kostka(components)
-        assert kostka(label) == expected
+    dense = {}
+    for label, hooks in labels:
+        if hooks not in dense:
+            dense[hooks] = _dense_payload(hooks)
+        expected = dense[hooks]
+        k = kostka(label)
+        assert k == expected[0] and 0 not in k.coeffs.values(), label
         if isinstance(label, GammaPartition):
-            assert kostka_wreath(label) == expected
+            assert kostka_wreath(label) == expected[0]
+            assert expected[2] == gamma_dimension(label)
+        else:
+            assert expected[2] == syt_count(label)
         report = character(label)
-        assert report.kostka == expected
-        assert report.character == expected * substitute_inverse(expected)
-        assert report.dimension == evaluate_at_one(expected)
+        assert report == CharacterReport(label, *expected)
+        assert report.kostka is k
+        assert characters._hook_kostka(hooks)[2] == 64
     assert characters._hook_kostka.cache_info().hits > 0
     if cache == "warm":
         info = characters._hook_character.cache_info()
         assert info.hits > 0 and info.misses == warm_misses
-
-
-def _sharing_labels():
-    """Labels with their hook multisets read cell by cell, not through the caches."""
-    for n in range(11):
-        for lam in enumerate_partitions(n):
-            yield lam, n, sorted(lam.hook(r, c) for r, c in lam.cells())
-    for n in range(6):
-        for gp in enumerate_gamma_partitions(3, n):
-            yield gp, n, sorted(comp.hook(r, c) for comp in gp.components for r, c in comp.cells())
 
 
 def test_characters_are_shared_per_hook_multiset():
@@ -182,9 +138,9 @@ def test_characters_are_shared_per_hook_multiset():
     assert character(gp).character is character(gp.permuted((2, 0, 1))).character
     assert character(Partition((3, 1))).character is not character(Partition((2, 2))).character
     first = {}
-    for label, n, hooks in _sharing_labels():
+    for label, hooks in _labels():
         report = character(label)
-        shared = first.setdefault((n, tuple(hooks)), report)
+        shared = first.setdefault(hooks, report)
         assert report.kostka is shared.kostka and report.character is shared.character
     # every report in first is alive, so distinct keys show as distinct ids
     assert len({id(report.character) for report in first.values()}) == len(first)
@@ -210,25 +166,6 @@ def test_shared_polynomials_are_read_only(label, other):
             del poly.coeffs[0]
     assert kostka(other).coeffs == k and character(other).character.coeffs == chi
     assert kostka(other) == LaurentPoly(k) and character(other).character == LaurentPoly(chi)
-
-
-@pytest.mark.parametrize("cache", ["cold", "warm"])
-def test_report_dimension_matches_the_tableau_oracle(cache):
-    # every character-table label: the dimension against syt_count or
-    # gamma_dimension, which never read the cached value at one
-    labels = [lam for n in range(15) for lam in enumerate_partitions(n)]
-    labels += [gp for n in range(7) for gp in enumerate_gamma_partitions(3, n)]
-    if cache == "cold":
-        _clear_hook_caches()
-        partitions_module._hook_lengths.cache_clear()
-    else:
-        for label in labels:
-            character(label)
-    for label in labels:
-        report = character(label)
-        expected = syt_count(label) if isinstance(label, Partition) else gamma_dimension(label)
-        assert report.dimension == expected
-        assert report.kostka is kostka(label)
 
 
 def _hook_key_labels():
@@ -316,18 +253,6 @@ def _assert_word_matches_dense(keys, bits):
         assert characters._hook_kostka(key)[0] is characters._hook_character(key)[0]
 
 
-def _label_keys(partition_sizes, wreath_pairs=()):
-    labels = [lam for n in partition_sizes for lam in enumerate_partitions(n)]
-    labels += [gp for N, n in wreath_pairs for gp in enumerate_gamma_partitions(N, n)]
-    return list(dict.fromkeys(map(characters._hook_key, labels)))
-
-
-def test_word_kernel_matches_dense_quotient_on_every_small_label():
-    # every partition of n <= 14 and every wreath label with N <= 3, n <= 6
-    wreath = [(N, n) for N in (1, 2, 3) for n in range(7)]
-    _assert_word_matches_dense(_label_keys(range(15), wreath), 64)
-
-
 def test_word_kernel_matches_dense_quotient_on_wide_words():
     # n >= 21: n! >= 2^64, so two 64-bit halves per word
     rng = random.Random(2125)
@@ -341,8 +266,9 @@ def test_word_kernel_matches_dense_quotient_on_wide_words():
 
 def test_words_are_64_bits_up_to_the_cli_caps():
     # every partition of n <= 20 and every wreath label the batch caps admit
-    keys = _label_keys(range(21), [(N, n) for N in range(1, 5) for n in range(11)])
-    assert {characters._hook_kostka(key)[2] for key in keys} == {64}
+    labels = [lam for n in range(21) for lam in enumerate_partitions(n)]
+    labels += [gp for N in range(1, 5) for n in range(11) for gp in enumerate_gamma_partitions(N, n)]
+    assert {characters._hook_kostka(characters._hook_key(label))[2] for label in labels} == {64}
 
 
 def test_word_kernel_rejects_multisets_that_are_no_labels_hooks():
@@ -569,23 +495,10 @@ def test_tangent_weights_golden():
     assert tangent_weights(Partition(())) == ()
 
 
-def test_tangent_weights_match_negated_hooks():
-    for n in range(7):
-        for lam in enumerate_partitions(n):
-            negated = tuple(sorted(-h for h in hook_lengths(lam)))
-            assert tangent_weights(lam) == negated
-
-
 def test_tangent_weights_match_negated_hooks_through_twelve():
     for n in range(7, 13):
         for lam in enumerate_partitions(n):
             assert tangent_weights(lam) == tuple(sorted(-h for h in hook_lengths(lam)))
-
-
-def test_tangent_weights_strictly_negative():
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            assert all(w < 0 for w in tangent_weights(lam))
 
 
 # -- the character by localization at the C*-fixed points, from contents alone
@@ -637,64 +550,8 @@ def test_character_by_localization_breaks_under_a_shifted_content():
                     assert _localized_character(tangent, n) != character(lam).character
 
 
-def test_kostka_value_at_one_counts_tableaux():
-    for n in range(9):
-        for lam in enumerate_partitions(n):
-            assert evaluate_at_one(kostka(lam)) == syt_count(lam)
-
-
-def test_kostka_conjugation_invariance():
-    for n in range(8):
-        for lam in enumerate_partitions(n):
-            assert kostka(lam) == kostka(lam.conjugate())
-
-
-def test_kostka_major_index_oracle():
-    """The polynomial equals the descent statistic over tableaux, recentred."""
-    for n in range(6):
-        for lam in enumerate_partitions(n):
-            counts = {}
-            for rows in standard_tableaux(lam):
-                e = major_index(rows) - lam.weighted_size()
-                counts[e] = counts.get(e, 0) + 1
-            assert kostka(lam) == LaurentPoly(counts)
-
-
-def test_wreath_factorization():
-    for N in (1, 2, 3):
-        for n in range(5):
-            for gp in enumerate_gamma_partitions(N, n):
-                product = qmultinomial(n, [c.size for c in gp.components])
-                for comp in gp.components:
-                    product = product * kostka(comp)
-                assert kostka_wreath(gp) == product
-
-
-def test_completion_check_accepts_genuine_hooks():
-    for n in range(1, 6):
-        for lam in enumerate_partitions(n):
-            assert completion_character_check(lam, 2 * n + 6)
-
-
 def test_completion_check_detects_corrupted_hooks():
     lam = Partition((2, 1))
     assert not completion_character_check(lam, 12, hooks=(4, 1, 1))
     with pytest.raises(ValueError):
         completion_character_check(lam, 0)
-
-
-@settings(deadline=None)
-@given(partitions())
-def test_kostka_constant_term_and_positivity(lam):
-    k = kostka(lam)
-    assert k.coeffs.get(0) == 1
-    assert k.min_exponent() == 0
-    assert all(c > 0 for c in k.coeffs.values())
-
-
-@settings(deadline=None)
-@given(partitions())
-def test_character_is_palindromic_with_square_dimension(lam):
-    report = character(lam)
-    assert report.character.is_palindromic()
-    assert evaluate_at_one(report.character) == report.dimension**2
