@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import pickle
 import random
 import weakref
@@ -87,48 +88,62 @@ def test_character_rejects_other_types():
         kostka("2,1")
 
 
+@functools.cache
 def _labels():
     """(label, hooks) for every partition of n <= 14 and every wreath label
     with N <= 3, n <= 6, the hooks read cell by cell through Partition.hook,
     so that neither the hook cache nor the hook key is used."""
     labels = [(lam, (lam,)) for n in range(15) for lam in enumerate_partitions(n)]
     labels += [(gp, gp.components) for N in (1, 2, 3) for n in range(7) for gp in enumerate_gamma_partitions(N, n)]
-    return [(label, tuple(sorted((comp.hook(r, c) for comp in components for r, c in comp.cells()), reverse=True)))
-            for label, components in labels]
+    return tuple((label, tuple(sorted((comp.hook(r, c) for comp in components for r, c in comp.cells()), reverse=True)))
+                 for label, components in labels)
 
 
-@pytest.mark.parametrize("cache", ["cold", "warm"])
-def test_memoised_kostka_matches_fresh_quotient(cache):
-    # the oracle is _dense_payload, with the dimension also against syt_count
-    # or gamma_dimension, which never read the cached value at one
-    labels = _labels()
+def _set_caches(cache):
+    """Empty every hook cache ("cold"), or fill the character cache for every label ("warm")."""
     if cache == "cold":
         _clear_hook_caches()
         partitions_module._hook_lengths.cache_clear()
     else:
-        for label, _ in labels:
+        for label, _ in _labels():
             character(label)
-    warm_misses = characters._hook_character.cache_info().misses
-    dense = {}
-    for label, hooks in labels:
-        if hooks not in dense:
-            dense[hooks] = _dense_payload(hooks)
-        expected = dense[hooks]
+
+
+def test_kostka_matches_long_division_oracle():
+    # _dense_payload divides by each 1 - q^h in turn on a dense coefficient list
+    for label, hooks in _labels():
+        expected = _dense_payload(hooks)[0]
         k = kostka(label)
-        assert k == expected[0] and 0 not in k.coeffs.values(), label
+        assert k == expected and 0 not in k.coeffs.values(), label
         if isinstance(label, GammaPartition):
-            assert kostka_wreath(label) == expected[0]
-            assert expected[2] == gamma_dimension(label)
-        else:
-            assert expected[2] == syt_count(label)
+            assert kostka_wreath(label) == expected
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_memoised_kostka_matches_fresh_quotient(cache):
+    _set_caches(cache)
+    warm_misses = characters._hook_character.cache_info().misses
+    for label, hooks in _labels():
         report = character(label)
-        assert report == CharacterReport(label, *expected)
-        assert report.kostka is k
-        assert characters._hook_kostka(hooks)[2] == 64
+        assert report == CharacterReport(label, *_dense_payload(hooks))
+        assert report.kostka is kostka(label)
     assert characters._hook_kostka.cache_info().hits > 0
     if cache == "warm":
         info = characters._hook_character.cache_info()
         assert info.hits > 0 and info.misses == warm_misses
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_report_dimension_matches_the_tableau_oracle(cache):
+    # syt_count and gamma_dimension never read the cached value at one
+    _set_caches(cache)
+    for label, _ in _labels():
+        expected = gamma_dimension(label) if isinstance(label, GammaPartition) else syt_count(label)
+        assert character(label).dimension == expected, label
+
+
+def test_word_kernel_matches_dense_quotient_on_every_small_label():
+    _assert_word_matches_dense(list(dict.fromkeys(hooks for _, hooks in _labels())), 64)
 
 
 def test_characters_are_shared_per_hook_multiset():
@@ -238,6 +253,7 @@ def _clear_hook_caches():
         cached.cache_clear()
 
 
+@functools.cache
 def _dense_payload(hooks):
     """(kostka, character, dimension) from one_minus_quotient and K * K(1/q),
     with no word arithmetic."""

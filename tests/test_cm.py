@@ -6,10 +6,9 @@ import pickle
 import random
 import unittest.mock
 from fractions import Fraction
-from functools import reduce
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmkostka import cm
@@ -90,11 +89,6 @@ def regular_points(draw, max_n=4):
         )
     )
     return CMPointRegular([Fraction(v, den) for v in numerators], alpha)
-
-
-def _examples(values):
-    """Run a hypothesis test on each of values too, as one @example each."""
-    return lambda test: reduce(lambda wrapped, value: example(value)(wrapped), values, test)
 
 
 def _seeded_point(rng, n):
@@ -204,10 +198,9 @@ def _same_matrix(m, expected):
 @settings(deadline=None, max_examples=150)
 @given(operand_grids(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
 def test_matrix_operations_match_fraction_arithmetic(operands, c):
-    a_grid, b_grid = operands
+    a_grid, _ = operands
     a = RationalMatrix(a_grid)
     _same_matrix(a, a_grid)
-    _same_matrix(a @ RationalMatrix(b_grid), _schoolbook(a_grid, b_grid))
     for scalar in (c, -c, 0, -1, 2):
         _same_matrix(a.scaled(scalar), [[scalar * x for x in r] for r in a_grid])
     _same_matrix(a.transpose(), list(zip(*a_grid)))
@@ -237,22 +230,51 @@ def _schoolbook_commutator(x_grid, y_grid):
     return [[u - v + (i == j) for j, (u, v) in enumerate(zip(r, s))] for i, (r, s) in enumerate(zip(yx, xy))]
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(grids(n, n), grids(n, n))))
-@_examples([tuple(m.entries for m in wilson_representative(p)) for p in _seeded_points(2013, (1, 2, 5, 9, 13))])
-def test_commutators_match_fraction_schoolbook(square_grids):
-    # the pair, its swap, its involution image (Y^T, X^T) and its C* image
-    # (X / c, c Y), each against the commutator of the grids it should hold
-    x_grid, y_grid = square_grids
+@settings(deadline=None, max_examples=150)
+@given(operand_grids())
+def test_products_match_fraction_schoolbook(operands):
+    a_grid, b_grid = operands
+    _same_matrix(RationalMatrix(a_grid) @ RationalMatrix(b_grid), _schoolbook(a_grid, b_grid))
+
+
+_SQUARE_GRID_PAIRS = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(grids(n, n), grids(n, n)))
+
+
+def _same_commutator(x, y, x_grid, y_grid):
+    _same_matrix(commutator_plus_identity(x, y), _schoolbook_commutator(x_grid, y_grid))
+
+
+def _same_image_commutators(x_grid, y_grid):
+    """The commutators of the involution image (Y^T, X^T) and the C* image
+    (X / c, c Y) of the pair, against those of the grids they should hold."""
     x, y = RationalMatrix(x_grid), RationalMatrix(y_grid)
     c = Fraction(-3, 2)
-    for pair, expected in (
-        ((x, y), (x_grid, y_grid)),
-        ((y, x), (y_grid, x_grid)),
-        (involution(x, y), (list(zip(*y_grid)), list(zip(*x_grid)))),
-        (cstar_act(c, x, y), ([[v / c for v in row] for row in x_grid], [[c * v for v in row] for row in y_grid])),
-    ):
-        _same_matrix(commutator_plus_identity(*pair), _schoolbook_commutator(*expected))
+    _same_commutator(*involution(x, y), list(zip(*y_grid)), list(zip(*x_grid)))
+    x_image, y_image = [[v / c for v in row] for row in x_grid], [[c * v for v in row] for row in y_grid]
+    _same_commutator(*cstar_act(c, x, y), x_image, y_image)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_SQUARE_GRID_PAIRS)
+def test_commutators_match_fraction_schoolbook(square_grids):
+    x_grid, y_grid = square_grids
+    x, y = RationalMatrix(x_grid), RationalMatrix(y_grid)
+    _same_commutator(x, y, x_grid, y_grid)
+    _same_commutator(y, x, y_grid, x_grid)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_SQUARE_GRID_PAIRS)
+def test_commutator_matches_fraction_products(square_grids):
+    _same_image_commutators(*square_grids)
+
+
+def test_commutator_matches_fraction_products_on_normal_forms():
+    for point in _seeded_points(2013, (1, 2, 5, 9, 13)):
+        x, y = wilson_representative(point)
+        _same_commutator(x, y, x.entries, y.entries)
+        _same_commutator(y, x, y.entries, x.entries)
+        _same_image_commutators(x.entries, y.entries)
 
 
 def test_commutator_of_a_diagonal_factor_takes_no_product(monkeypatch):
@@ -1075,10 +1097,14 @@ def test_charpoly_matches_oracle_on_fixed_shapes():
         ))
     for n in (2, 3, 5, 8):
         shapes.extend(_border_zero_shapes(rng, n))
-    # triangular: the characteristic polynomial is also the product over the diagonal
+    for a in shapes:
+        assert a.charpoly() == _trace_recurrence_charpoly(a)
+    # triangular: the characteristic polynomial is the product over the diagonal
     for a in _border_zero_shapes(rng, 6)[:2]:
-        assert a.charpoly() == poly_from_roots([a.entries[i][i] for i in range(6)])
-        shapes.append(a)
+        assert a.charpoly() == poly_from_roots([a.entries[i][i] for i in range(6)]) == _trace_recurrence_charpoly(a)
+
+
+def test_charpoly_with_one_border_zero_matches_trace_recurrence():
     rng = random.Random(2031)
     for n in (2, 5, 9, 14, 20):
         steps = sorted(rng.sample(range(1, n), min(n - 1, 4)))
@@ -1087,12 +1113,14 @@ def test_charpoly_matches_oracle_on_fixed_shapes():
             for k in steps:
                 zeros = (not any(a._ints[k][:k]), not any(row[k] for row in a._ints[:k]))
                 assert zeros == (side == "row", side == "column")
-            shapes.append(a)
-    # the normal forms at the cm-pairs sizes, where the integer entries grow largest
+            assert a.charpoly() == _trace_recurrence_charpoly(a)
+
+
+def test_charpoly_matches_oracles_on_large_normal_forms():
+    """The cm-pairs sizes, where the integer entries grow largest."""
     for point in _seeded_points(2016, (12, 16, 20)):
-        shapes += wilson_representative(point)
-    for a in shapes:
-        assert a.charpoly() == _trace_recurrence_charpoly(a)
+        for a in wilson_representative(point):
+            assert a.charpoly() == _trace_recurrence_charpoly(a)
 
 
 def test_triangular_charpoly_at_size_30_is_the_diagonal_product():
@@ -1141,10 +1169,7 @@ def test_charpoly_matches_sympy():
         assert a.charpoly() == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))
 
 
-@settings(deadline=None, max_examples=40)
-@given(regular_points(max_n=8))
-@_examples(_seeded_points(2012, (12, 16, 20)))
-def test_embedding_matches_per_column_oracle(point):
+def _same_embedding(point):
     embedded = wilson_embed(point)
     ideal, entries = _per_column_embed(point)
     _holds_one_form(embedded, entries, _wilson_scale(point))
@@ -1154,12 +1179,33 @@ def test_embedding_matches_per_column_oracle(point):
         assert component_line(embedded, y_i) == _fraction_horner_line(embedded, y_i)
 
 
+@settings(deadline=None, max_examples=40)
+@given(regular_points(max_n=8))
+def test_embedding_matches_per_column_oracle(point):
+    _same_embedding(point)
+
+
+def test_embedding_matches_per_column_oracle_at_large_sizes():
+    for point in _seeded_points(2012, (12, 16, 20)):
+        _same_embedding(point)
+
+
+# both forms are held without a gcd pass: they must already be the reduced ones
+_NORMAL_FORM_POINTS = (
+    _seeded_points(2014, (1, 2, 3, 7, 12, 20)) + _seeded_points(2033, (1, 2, 3, 5, 8, 12, 20))
+    + [CMPointRegular(list(range(-3, 4)), [0] * 7)]
+)
+
+
 def test_normal_form_matches_fraction_differences():
-    points = _seeded_points(2014, (1, 2, 3, 7, 12, 20)) + _seeded_points(2033, (1, 2, 3, 5, 8, 12, 20))
-    for point in points + [CMPointRegular(list(range(-3, 4)), [0] * 7)]:
-        x, y = wilson_representative(point)
-        # both forms are held without a gcd pass: they must already be the reduced ones
-        _same_matrix(x, _fraction_normal_form(point))
+    for point in _NORMAL_FORM_POINTS:
+        _same_matrix(wilson_representative(point)[0], _fraction_normal_form(point))
+
+
+def test_wilson_y_is_the_diagonal_of_the_eigenvalues():
+    for point in _NORMAL_FORM_POINTS:
+        _, y = wilson_representative(point)
+        assert y == RationalMatrix.diagonal(point.y)
         _same_matrix(y, [[y_i if i == j else 0 for j in range(point.n)] for i, y_i in enumerate(point.y)])
 
 
