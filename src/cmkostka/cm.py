@@ -5,13 +5,15 @@ and scalars must be Fraction or int; anything else raises TypeError rather
 than being coerced.  Two immutable types carry the work, each built in one
 place, its _hold, which checks its invariants:
 - RationalMatrix holds one reduced integer form, which its kernels read and
-  write: products, the commutator YX - XY + Id, Bareiss elimination, whose
-  pivot columns give rank and the Schubert profile, and Berkowitz
+  write: products, the commutator YX - XY + Id and Berkowitz
   characteristic polynomials;
 - EmbeddedPoint holds an ideal and a subspace basis as integer polynomials
   in w = s z, and certifies the columns' full rank without exact
   elimination: at each column's own root for a Wilson embedding, by a row
   echelon modulo a prime otherwise.
+One exact elimination serves both: _pivot_columns, Bareiss on integer rows,
+whose pivot columns give a matrix's rank, a basis's Schubert profile and
+the full-rank verdict when the modular echelon fails.
 Each kernel's docstring gives its mechanism and its cost.
 """
 
@@ -162,49 +164,12 @@ class RationalMatrix:
         # the transpose of a reduced form is reduced
         return object.__new__(RationalMatrix)._hold(self._den, tuple(zip(*self._ints)), None)
 
-    def _pivot_columns(self):
-        """Pivot columns of the row echelon form, by fraction-free (Bareiss)
-        elimination with partial pivoting on the integer rows, each first
-        divided by its content (the gcd of its entries).
-
-        Column c is a pivot exactly when it is independent of the columns
-        before it, so the list does not depend on which rows pivot, and
-        scaling a row keeps it.  A row that is zero, at the start or after
-        an elimination step, can never pivot, so it is dropped: the pivot
-        rows and columns stay the same, and a rank-one matrix stops after
-        its first step.
-        """
-        m = []
-        for row in self._ints:
-            g = gcd(*row)
-            if g:
-                m.append([v // g for v in row] if g > 1 else list(row))
-        cols = self.cols
-        pivots = []
-        prev = 1
-        for c in range(cols):
-            r = len(pivots)
-            if r == len(m):
-                break
-            pivot = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
-            if m[pivot][c] == 0:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, len(m)):
-                for j in range(c + 1, cols):
-                    m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-                m[i][c] = 0
-            m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
-            prev = m[r][c]
-            pivots.append(c)
-        return pivots
-
     def rank(self):
-        """Exact rank: the number of Bareiss pivot columns of the matrix, or
-        of its transpose when it has more rows than columns.  Rank is
-        unchanged under transposition, and the elimination then runs along
-        the shorter side."""
-        return len((self.transpose() if self.rows > self.cols else self)._pivot_columns())
+        """Exact rank: the number of Bareiss pivot columns of the integer
+        rows, or of the columns taken as rows when there are more rows than
+        columns.  Rank is unchanged under transposition, and the elimination
+        then runs along the shorter side."""
+        return len(_pivot_columns(zip(*self._ints) if self.rows > self.cols else self._ints))
 
     def charpoly(self):
         """Monic characteristic polynomial det(zI - A), coefficients low to high.
@@ -257,9 +222,47 @@ def _int_product(a, b):
     return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
-def _independent_rows_mod_p(rows, need):
-    """Indices of the integer rows, taken in order, that are independent of
-    the rows before them modulo the prime _PRIME; stops at need of them.
+def _pivot_columns(rows):
+    """Pivot columns of the row echelon form of the equal-length integer
+    rows, by fraction-free (Bareiss) elimination with partial pivoting, each
+    row first divided by its content (the gcd of its entries).
+
+    Column c is a pivot exactly when it is independent of the columns
+    before it, so the list does not depend on which rows pivot, and
+    scaling a row keeps it.  A row that is zero, at the start or after
+    an elimination step, can never pivot, so it is dropped: the pivot
+    rows and columns stay the same, and a rank-one matrix stops after
+    its first step.
+    """
+    m = []
+    for row in rows:
+        g = gcd(*row)
+        if g:
+            m.append([v // g for v in row] if g > 1 else list(row))
+    cols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
+        if m[pivot][c] == 0:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        m[r + 1 :] = [row for row in m[r + 1 :] if any(row)]
+        prev = m[r][c]
+        pivots.append(c)
+    return pivots
+
+
+def _rank_mod_p(rows, need):
+    """The number of integer rows, taken in order, that are independent of
+    the rows before them modulo the prime _PRIME, counting up to need.
 
     An incremental row echelon form: each new row is reduced against the
     leads found so far, and a row left nonzero becomes a lead, scaled so that
@@ -272,8 +275,7 @@ def _independent_rows_mod_p(rows, need):
     below 2^30, so every residue is one CPython digit.
     """
     leads = []  # (pivot column, the lead's entries after it)
-    found = []
-    for i, row in enumerate(rows):
+    for row in rows:
         r = [v % _PRIME for v in row]
         for c, tail in leads:
             f = r[c] % _PRIME
@@ -286,22 +288,22 @@ def _independent_rows_mod_p(rows, need):
             continue
         inverse = pow(r[c], -1, _PRIME)
         leads.append((c, [v * inverse % _PRIME for v in r[c + 1 :]]))
-        found.append(i)
-        if len(found) == need:
+        if len(leads) == need:
             break
-    return found
+    return len(leads)
 
 
 def _full_column_rank(columns):
     """Whether the integer columns are linearly independent over the rationals.
 
     The columns are independent when as many of their rows are independent
-    modulo the prime.  When fewer are, the exact rank decides.
+    modulo the prime.  When fewer are, the Bareiss pivots of the columns,
+    taken as rows, decide.
     """
     n = len(columns)
-    if len(_independent_rows_mod_p(zip(*columns), n)) == n:
+    if _rank_mod_p(zip(*columns), n) == n:
         return True
-    return RationalMatrix._from_ints(1, zip(*columns)).rank() == n
+    return len(_pivot_columns(columns)) == n
 
 
 class CMPointRegular:
@@ -346,15 +348,14 @@ class EmbeddedPoint:
     z^k coefficient is h_k s^k / d.  wilson_embed takes s = D, the common
     denominator of the eigenvalues, so that every root of its ideal is an
     integer in w; the public constructor takes s = 1.  The Fraction ideal
-    and the subspace matrix in z are built on first read and kept; the
-    public constructor keeps the ones it was given.  A Wilson point also
-    keeps, per root a of its ideal in w, the image (h(a), h'(a)) of the one
-    column that does not vanish to order two there; a point from the public
-    constructor keeps None.  Both the public constructor and wilson_embed
-    build the point through _hold.
+    and the subspace matrix in z are built from that form on each read.  A
+    Wilson point also keeps, per root a of its ideal in w, the image
+    (h(a), h'(a)) of the one column that does not vanish to order two there;
+    a point from the public constructor keeps None.  Both the public
+    constructor and wilson_embed build the point through _hold.
     """
 
-    __slots__ = ("_ideal", "_scale", "_ideal_ints", "_columns", "_dens", "_subspace", "_images")
+    __slots__ = ("_scale", "_ideal_ints", "_columns", "_dens", "_images")
 
     def __init__(self, ideal, subspace):
         ideal = tuple(_frac(c) for c in ideal)
@@ -368,15 +369,13 @@ class EmbeddedPoint:
         for column in zip(*subspace._ints):
             g = gcd(den, *column)
             columns.append((den // g, tuple(v // g for v in column)))
-        self._hold(1, ideal_ints, columns, ideal, subspace)
+        self._hold(1, ideal_ints, columns)
 
-    def _hold(self, scale, ideal_ints, columns, ideal, subspace, roots=None, square=None):
+    def _hold(self, scale, ideal_ints, columns, roots=None, square=None):
         """Set the slots and return the point: the scale s, integers
-        ideal_ints proportional to s^n ideal(w / s), the basis columns in w
-        as reduced (denominator, integer column) pairs, and the Fraction
-        ideal and the subspace matrix, or None to build them on first read.
-        Every point is built here, and here alone the columns' full rank is
-        checked.
+        ideal_ints proportional to s^n ideal(w / s) and the basis columns in
+        w as reduced (denominator, integer column) pairs.  Every point is
+        built here, and here alone the columns' full rank is checked.
 
         Without roots, the mod-p row echelon certifies it, and exact rank
         decides when the echelon fails.  With roots, the integer roots a_i
@@ -391,12 +390,10 @@ class EmbeddedPoint:
             images = None
         else:
             images = _wilson_images(ideal_ints, columns, roots, square)
-        object.__setattr__(self, "_ideal", ideal)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_ideal_ints", ideal_ints)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_dens", dens)
-        object.__setattr__(self, "_subspace", subspace)
         object.__setattr__(self, "_images", images)
         return self
 
@@ -419,13 +416,9 @@ class EmbeddedPoint:
         With c the integers held for s^n I(w / s) up to a factor, coefficient
         k is c_k / (c_n s^(n-k)).
         """
-        ideal = self._ideal
-        if ideal is None:
-            ints, s = self._ideal_ints, self._scale
-            n, lead = len(ints) - 1, ints[-1]
-            ideal = tuple(Fraction(c_k, lead * s ** (n - k)) for k, c_k in enumerate(ints))
-            object.__setattr__(self, "_ideal", ideal)
-        return ideal
+        ints, s = self._ideal_ints, self._scale
+        n, lead = len(ints) - 1, ints[-1]
+        return tuple(Fraction(c_k, lead * s ** (n - k)) for k, c_k in enumerate(ints))
 
     @property
     def subspace(self):
@@ -435,17 +428,13 @@ class EmbeddedPoint:
         L = lcm(d_j), column j scaled by L / d_j, and reduced once by
         RationalMatrix._from_ints.
         """
-        subspace = self._subspace
-        if subspace is None:
-            den = lcm(*self._dens)
-            s_powers = [self._scale**k for k in range(2 * self.n)]
-            columns = []
-            for column, d in zip(self._columns, self._dens):
-                multiplier = den // d
-                columns.append([v * s_k * multiplier for v, s_k in zip(column, s_powers)])
-            subspace = RationalMatrix._from_ints(den, zip(*columns))
-            object.__setattr__(self, "_subspace", subspace)
-        return subspace
+        den = lcm(*self._dens)
+        s_powers = [self._scale**k for k in range(2 * self.n)]
+        columns = []
+        for column, d in zip(self._columns, self._dens):
+            multiplier = den // d
+            columns.append([v * s_k * multiplier for v, s_k in zip(column, s_powers)])
+        return RationalMatrix._from_ints(den, zip(*columns))
 
 
 def wilson_representative(point):
@@ -751,7 +740,7 @@ def wilson_embed(point):
         if g > 1:
             den, constant, slope = den // g, constant // g, slope // g
         columns.append((den, tuple([constant * lo - slope * hi for lo, hi in zip(r_i + [0], [0] + r_i)])))
-    return object.__new__(EmbeddedPoint)._hold(d, q, columns, None, None, a, square)
+    return object.__new__(EmbeddedPoint)._hold(d, q, columns, a, square)
 
 
 def component_line(point, y_i):
@@ -823,7 +812,7 @@ def schubert_profile(subspace):
     nonsingular block, is certified by the mod-p row echelon.  When the
     echelon fails, as it does for a Wilson point with 0 among its
     eigenvalues, the jumps are read off the Bareiss pivot columns of the
-    transposed basis.
+    basis columns taken as rows.
     """
     if subspace.rows != 2 * subspace.cols:
         raise DimensionMismatch(
@@ -833,11 +822,11 @@ def schubert_profile(subspace):
     # The top n x n block (the coefficients of 1, ..., z^(n-1)) is nonsingular
     # exactly when W misses F_n, the big cell; nonsingular modulo the prime
     # certifies it over the rationals.
-    if len(_independent_rows_mod_p(subspace._ints[:n], n)) == n:
+    if _rank_mod_p(subspace._ints[:n], n) == n:
         return Partition((n,) * n)
     # dim(W meet F_j) counts the Bareiss pivots p >= 2n - j, so step j is a jump
-    # exactly when 2n - j is a pivot column of the transposed basis.
-    pivots = subspace.transpose()._pivot_columns()
+    # exactly when 2n - j is a pivot column of the basis columns taken as rows.
+    pivots = _pivot_columns(zip(*subspace._ints))
     if len(pivots) != n:
         raise NotInAnyCell("basis columns are dependent")
     jumps = sorted(2 * n - p for p in pivots)
