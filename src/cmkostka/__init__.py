@@ -5,9 +5,10 @@ tangent weights, symmetric-function multiplicities, and exact rational matrix
 pairs with the rank-one commutator condition.
 """
 
+from types import ModuleType as _ModuleType
+
 from .partitions import (
     BoundExceeded,
-    Cell,
     GammaPartition,
     Partition,
     PartitionParseError,
@@ -71,61 +72,4 @@ from .cm import (
 )
 from .verify import CheckResult, run_checks
 
-__all__ = [
-    "BoundExceeded",
-    "Cell",
-    "CharacterReport",
-    "CheckResult",
-    "CMPointRegular",
-    "DimensionMismatch",
-    "DuplicateEigenvalue",
-    "EmbeddedPoint",
-    "GammaPartition",
-    "LaurentPoly",
-    "NonExactDivision",
-    "NotInAnyCell",
-    "Partition",
-    "PartitionParseError",
-    "RationalMatrix",
-    "SchurExpansion",
-    "ZeroScalar",
-    "character",
-    "commutator_plus_identity",
-    "completion_character_check",
-    "component_line",
-    "cstar_act",
-    "enumerate_gamma_partitions",
-    "enumerate_partitions",
-    "evaluate_at_one",
-    "exact_divide",
-    "expand_p1n",
-    "expand_p1n_wreath",
-    "fixed_point_exponents",
-    "gamma_dimension",
-    "geometric_product_series",
-    "hook_lengths",
-    "involution",
-    "kostka",
-    "kostka_wreath",
-    "major_index",
-    "monomial_subspace",
-    "multinomial",
-    "multiplicity_identity_check",
-    "one_minus_q",
-    "parse_gamma_partition",
-    "parse_partition",
-    "poly_from_roots",
-    "projections",
-    "qfactorial_product",
-    "qmultinomial",
-    "run_checks",
-    "schubert_profile",
-    "standard_tableaux",
-    "substitute_inverse",
-    "syt_count",
-    "syt_enumerate",
-    "tangent_weights",
-    "verify_cm",
-    "wilson_embed",
-    "wilson_representative",
-]
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

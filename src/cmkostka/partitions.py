@@ -18,7 +18,6 @@ return a fresh list on every call.
 
 import operator
 import re
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
@@ -35,9 +34,6 @@ class PartitionParseError(ValueError):
         super().__init__(f"{reason} (at position {position})")
         self.reason = reason
         self.position = position
-
-
-Cell = namedtuple("Cell", ["row", "col"])
 
 
 class Partition:
@@ -82,12 +78,6 @@ class Partition:
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
-
-    def cells(self):
-        """Iterate the diagram's cells as Cell(row, col), 0-based, English reading order."""
-        for r, p in enumerate(self.parts):
-            for c in range(p):
-                yield Cell(r, c)
 
     def conjugate(self):
         """Transpose of the Young diagram."""

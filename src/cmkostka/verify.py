@@ -5,14 +5,16 @@ returns a detail naming the offending label and both sides at the first
 falsified identity, and returns nothing when every item holds.  The runner
 _counted counts the yields, so each registry entry is an eager callable that
 does all of the check's work and returns (items, detail), detail "" on a
-pass.  Randomized checks derive a private generator from the seed and the
-check name, so results do not depend on execution order.  A check that
-raises counts as failed, with 0 items and the exception named in its detail.
+pass.  _counted also sets the check's registry name on the limits it
+passes, and a randomized check draws from lim.rng(), a private generator
+seeded from the seed and that name, so results do not depend on execution
+order and no check spells its own name.  A check that raises counts as
+failed, with 0 items and the exception named in its detail.
 """
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -77,6 +79,7 @@ class _Limits:
     N: int | None
     seed: int
     corrupt_hooks: bool
+    name: str = ""  # the running check's registry name, set by _counted
 
     def cap_n(self, default):
         return default if self.n is None else min(default, self.n)
@@ -84,8 +87,8 @@ class _Limits:
     def cap_N(self, default):
         return default if self.N is None else min(default, self.N)
 
-    def rng(self, name):
-        return random.Random(f"{self.seed}:{name}")
+    def rng(self):
+        return random.Random(f"{self.seed}:{self.name}")
 
 
 # Random matrix pairs drawn by each rank-one check.
@@ -159,7 +162,7 @@ def _random_laurent(rng, nonzero=False):
 
 
 def _check_division_round_trip(lim):
-    rng = lim.rng("division-round-trip")
+    rng = lim.rng()
     for _ in range(60):
         yield
         a = _random_laurent(rng)
@@ -169,7 +172,7 @@ def _check_division_round_trip(lim):
 
 
 def _check_inverse_substitution(lim):
-    rng = lim.rng("inverse-substitution")
+    rng = lim.rng()
     for _ in range(60):
         yield
         a = _random_laurent(rng)
@@ -183,7 +186,7 @@ def _check_inverse_substitution(lim):
 
 
 def _check_evaluation_multiplicative(lim):
-    rng = lim.rng("evaluation-multiplicative")
+    rng = lim.rng()
     for _ in range(60):
         yield
         a = _random_laurent(rng)
@@ -365,7 +368,7 @@ def _random_points(rng, count, max_n):
 
 
 def _check_rank_one_random_points(lim):
-    rng = lim.rng("rank-one-random-points")
+    rng = lim.rng()
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         ok, m, witness = verify_cm(*wilson_representative(point))
@@ -377,7 +380,7 @@ def _check_rank_one_random_points(lim):
 
 
 def _check_scaling_preserves_rank_one(lim):
-    rng = lim.rng("scaling-preserves-rank-one")
+    rng = lim.rng()
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         x, y = wilson_representative(point)
@@ -387,7 +390,7 @@ def _check_scaling_preserves_rank_one(lim):
 
 
 def _check_involution_preserves_rank_one(lim):
-    rng = lim.rng("involution-preserves-rank-one")
+    rng = lim.rng()
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         x, y = wilson_representative(point)
@@ -400,7 +403,7 @@ def _check_involution_preserves_rank_one(lim):
 
 
 def _check_eigenvalue_polynomial(lim):
-    rng = lim.rng("eigenvalue-polynomial-match")
+    rng = lim.rng()
     for point in _random_points(rng, _SAMPLES, lim.cap_n(12)):
         yield
         char_y = RationalMatrix.diagonal(point.y).charpoly()  # the normal form's Y
@@ -421,7 +424,7 @@ def _check_profile_round_trip(lim):
 
 
 def _check_embedding_component_lines(lim):
-    rng = lim.rng("embedding-component-lines")
+    rng = lim.rng()
     for point in _random_points(rng, 30, lim.cap_n(5)):
         embedded = wilson_embed(point)
         for y_i, a_i in zip(point.y, point.alpha):
@@ -432,7 +435,7 @@ def _check_embedding_component_lines(lim):
 
 
 def _check_embedding_block_factorization(lim):
-    rng = lim.rng("embedding-block-factorization")
+    rng = lim.rng()
     max_n = lim.cap_n(4)
     for _ in range(20):
         yield
@@ -454,11 +457,12 @@ def _check_embedding_block_factorization(lim):
                     return f"component line at {y_i} differs between joint and factor embeddings"
 
 
-def _counted(check):
-    """The registry entry for a check generator: run it to its end, return (items, detail)."""
+def _counted(name, check):
+    """The registry entry for a check generator: run it under its registry
+    name to its end, return (items, detail)."""
 
     def run(lim):
-        steps, items = check(lim), 0
+        steps, items = check(replace(lim, name=name)), 0
         try:
             while True:
                 next(steps)
@@ -469,7 +473,7 @@ def _counted(check):
     return run
 
 
-_REGISTRY = tuple((name, _counted(check)) for name, check in (
+_REGISTRY = tuple((name, _counted(name, check)) for name, check in (
     ("hook-count-and-sum", _check_hook_count_and_sum),
     ("hook-conjugation-invariance", _check_hook_conjugation),
     ("tableau-count-oracle", _check_tableau_count_oracle),

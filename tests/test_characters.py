@@ -45,6 +45,7 @@ from cmkostka.qpoly import (
     qfactorial_product,
     substitute_inverse,
 )
+from cmkostka.verify import _cell_hooks
 
 
 def test_kostka_golden_values():
@@ -95,7 +96,7 @@ def _labels():
     so that neither the hook cache nor the hook key is used."""
     labels = [(lam, (lam,)) for n in range(15) for lam in enumerate_partitions(n)]
     labels += [(gp, gp.components) for N in (1, 2, 3) for n in range(7) for gp in enumerate_gamma_partitions(N, n)]
-    return tuple((label, tuple(sorted((comp.hook(r, c) for comp in components for r, c in comp.cells()), reverse=True)))
+    return tuple((label, tuple(sorted(chain.from_iterable(map(_cell_hooks, components)), reverse=True)))
                  for label, components in labels)
 
 
@@ -521,7 +522,7 @@ def test_tangent_weights_match_negated_hooks_through_twelve():
 
 
 def _contents(lam):
-    return [col - row for row, col in lam.cells()]
+    return [col - row for row, p in enumerate(lam.parts) for col in range(p)]
 
 
 def _fixed_point_tangent(contents):

@@ -450,18 +450,26 @@ def test_conjugation_checks_fail_when_a_conjugate_pair_shares_wrong_hooks(monkey
 
 
 def test_randomized_checks_draw_under_their_registry_names(monkeypatch):
-    # each generator comes from the seed and the check's own registry name
-    labels = []
+    # the registry entry seeds each generator from the seed and the name it
+    # registers the check under: run alone, a check draws from that one
+    states = []
     genuine = verify._Limits.rng
 
-    def spy(self, name):
-        labels.append(name)
-        return genuine(self, name)
+    def spy(self):
+        generator = genuine(self)
+        states.append(generator.getstate())
+        return generator
 
     monkeypatch.setattr(verify._Limits, "rng", spy)
-    assert all(result.passed for result in verify.run_checks(n=3, N=2))
-    assert len(labels) == len(set(labels)) == 9
-    assert set(labels) <= set(verify.check_names())
+    randomized = []
+    for name in verify.check_names():
+        states.clear()
+        (result,) = verify.run_checks(names=[name], n=3, N=2, seed=5)
+        assert result.passed, name
+        if states:
+            assert states == [random.Random(f"5:{name}").getstate()], name
+            randomized.append(name)
+    assert len(randomized) == 9
 
 
 P21 = Partition((2, 1))

@@ -12,7 +12,6 @@ from cmkostka import partitions as partitions_module
 from cmkostka import schur
 from cmkostka.partitions import (
     BoundExceeded,
-    Cell,
     GammaPartition,
     Partition,
     PartitionParseError,
@@ -28,6 +27,7 @@ from cmkostka.partitions import (
     syt_count,
     syt_enumerate,
 )
+from cmkostka.verify import _cell_hooks
 
 
 @st.composite
@@ -101,9 +101,8 @@ def test_enumeration_counts_match_pentagonal_recurrence():
         assert len(enumerate_partitions(n)) == euler_partition_count(n)
 
 
-def test_cells_and_hooks_of_a_small_shape():
+def test_hooks_of_a_small_shape():
     lam = Partition((3, 1))
-    assert list(lam.cells()) == [Cell(0, 0), Cell(0, 1), Cell(0, 2), Cell(1, 0)]
     assert lam.hook(0, 0) == 4
     assert hook_lengths(lam) == (4, 2, 1, 1)
     # negative indices must not wrap round to the last row or column
@@ -355,16 +354,12 @@ def test_labels_survive_pickle_and_deepcopy():
             assert copied == label and type(copied) is type(label)
 
 
-def _per_cell_hooks(lam):
-    return tuple(sorted((lam.hook(r, c) for r, c in lam.cells()), reverse=True))
-
-
 def test_hook_lengths_match_per_cell_hooks():
     # hook_lengths reads every hook off the conjugate in one pass;
     # Partition.hook counts each arm and leg on its own
     for n in range(13):
         for lam in enumerate_partitions(n):
-            assert hook_lengths(lam) == _per_cell_hooks(lam)
+            assert hook_lengths(lam) == _cell_hooks(lam)
 
 
 @given(partitions())
@@ -387,7 +382,7 @@ def test_hook_cache_serves_a_conjugate_pair_in_either_order():
     for n in range(13):
         for lam in enumerate_partitions(n):
             mu = lam.conjugate()
-            expected = _per_cell_hooks(lam)
+            expected = _cell_hooks(lam)
             for first, second in ((mu, lam), (lam, mu)):
                 partitions_module._hook_lengths.cache_clear()
                 assert hook_lengths(first) == expected

@@ -1,7 +1,8 @@
 """The package as a whole: it stays standard-library only, every absolute
 import in src/cmkostka naming a standard-library module; its modules import
-one another in layers, with no cycle; and its __all__ lists exactly the
-public names it binds that are not modules."""
+one another in layers, with no cycle; its __all__ lists exactly the
+public names it binds that are not modules; and its sources, tests and tools
+parse as Python 3.10."""
 
 import ast
 import sys
@@ -13,7 +14,8 @@ import pytest
 
 import cmkostka
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cmkostka").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "cmkostka").glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -70,3 +72,13 @@ def test_modules_import_in_layers():
     assert set().union(*graph.values()) <= set(graph)
     # static_order raises graphlib.CycleError on a cycle
     assert len(list(TopologicalSorter(graph).static_order())) == len(graph)
+
+
+def test_sources_tests_and_tools_parse_as_python_3_10():
+    """pyproject.toml requires Python >= 3.10.  This checks the grammar
+    only, as far as ast.parse's feature_version does (it refuses except*,
+    for one): a call to a library function that 3.10 lacks still passes."""
+    paths = [path for folder in ("src/cmkostka", "tests", "tools") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > len(SOURCES)
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
