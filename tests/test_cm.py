@@ -685,15 +685,20 @@ def test_poly_from_roots_edge_cases_and_embedding_ideal():
     mixed = [2, True, False, -3, Fraction(-5, 6), Fraction(7, 4)]
     assert poly_from_roots(mixed) == _fraction_root_product([Fraction(r) for r in mixed])
     rng = random.Random(2015)
-    points = [_seeded_point(rng, n) for n in (1, 2, 5, 12, 20)]
-    points.append(CMPointRegular([Fraction(1, 2), Fraction(-2, 3), 4], [1, 0, Fraction(-1, 2)]))
-    for point in points:
-        embedded = wilson_embed(point)
-        ideal = embedded.ideal
-        assert ideal == poly_from_roots(point.y) and all(type(c) is Fraction for c in ideal)
-        # the public constructor takes the ideal and the subspace back
-        rebuilt = EmbeddedPoint(ideal, embedded.subspace)
-        assert rebuilt.ideal == ideal and embedded.n == rebuilt.n == len(point.y)
+    for n in (1, 2, 5, 12, 20):
+        point = _seeded_point(rng, n)
+        assert wilson_embed(point).ideal == poly_from_roots(point.y)
+
+
+def test_fraction_ideal_is_built_on_first_read():
+    point = CMPointRegular([Fraction(1, 2), Fraction(-2, 3), 4], [1, 0, Fraction(-1, 2)])
+    embedded = wilson_embed(point)
+    assert embedded.n == 3
+    ideal = embedded.ideal
+    assert ideal == poly_from_roots(point.y)
+    assert all(type(c) is Fraction for c in ideal)
+    rebuilt = EmbeddedPoint(ideal, embedded.subspace)
+    assert rebuilt.ideal == ideal and rebuilt.n == 3
 
 
 # -- embedding
