@@ -10,13 +10,14 @@ from; kostka and kostka_wreath read it.  _hook_character holds the
 (kostka, character, dimension) payload of a report, built from the first
 cache's entry; only character reads it.  Labels with one hook multiset
 (conjugates, wreath labels that differ only in slot order) therefore
-receive the same LaurentPoly objects, which are immutable.
+receive the same LaurentPoly objects, which are immutable.  A third bounded
+cache, _cyclotomic_word, holds the integer word of each cyclotomic
+polynomial per (index, word width), the factors _hook_kostka multiplies.
 """
 
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import factorial, prod
 
 from .partitions import GammaPartition, Partition, hook_lengths
@@ -81,16 +82,12 @@ def _hook_key(label):
 _CAST_WORDS = sys.byteorder == "little"
 
 
-@lru_cache(maxsize=1024)
-def _repunit_word(m, bits):
-    """The q-integer [m] = 1 + q + ... + q^(m-1) at q = 2^bits."""
-    return ((1 << bits * m) - 1) // ((1 << bits) - 1)
-
-
-@lru_cache(maxsize=64)
-def _qfactorial_word(n, bits):
-    """The q-factorial [n]! = [1][2]...[n] at q = 2^bits."""
-    return prod(map(_repunit_word, range(2, n + 1), repeat(bits)))
+@lru_cache(maxsize=256)
+def _cyclotomic_word(k, bits):
+    """The cyclotomic polynomial Phi_k at q = 2^bits, for k >= 1: q^k - 1
+    divided by the Phi_j of the proper divisors j of k, since q^k - 1 is
+    the product of the Phi_j over all divisors j of k."""
+    return ((1 << bits * k) - 1) // prod(_cyclotomic_word(j, bits) for j in range(1, k) if k % j == 0)
 
 
 def _words(value, bits, count):
@@ -116,27 +113,35 @@ def _poly(words, low):
 def _hook_kostka(hooks):
     """(kostka, word, bits, deg, d) for K = [n]! / prod over hooks h of [h],
     n the number of hooks and [m] = 1 + q + ... + q^(m-1), with
-    word = K(2^bits), or raise NonExactDivision when the word fails its
-    certificate.  K is (1-q)...(1-q^n) / prod (1 - q^h), deg =
-    n(n-1)/2 - sum (h - 1) is its degree and d = n! / prod h its value at 1.
+    word = K(2^bits), or raise NonExactDivision when K is no polynomial or
+    its word fails its certificate.  K is (1-q)...(1-q^n) / prod (1 - q^h),
+    deg = n(n+1)/2 - sum h is its degree and d = n! / prod h its value at 1.
 
-    A multiset passes the guard when each hook is at least 1, d is an
-    integer and deg >= 0.  bits is then the least multiple of 64 with
-    2^bits > max(n!, d^2), which is 64 for every partition of n <= 20 and
-    every label the CLI batch caps admit, and word is the quotient of one
-    exact divmod of the cached [n]! word by the product of the cached [h]
-    words.  That quotient has at most deg + 1 digits in base 2^bits: each
-    coefficient of [n]! is at most n! < 2^bits, so with D = n(n-1)/2,
+    Each [m] is the product of the cyclotomic polynomials Phi_k over the
+    divisors k > 1 of m.  So when every hook is in 1..n, K is the product of
+    Phi_k^e_k over k = 2..n, where e_k is floor(n/k) less the number of
+    hooks divisible by k.  The Phi_k are distinct, monic and irreducible
+    over the rationals, so K is a polynomial exactly when every e_k >= 0.
+    That is the guard, with the hook range tested first: a hook h above n
+    would give e_h < 0, and no exponent past n is kept.  A multiset that
+    passes has a K with integer coefficients, so d = K(1) is an integer and
+    deg = sum e_k phi(k) >= 0, phi(k) the degree of Phi_k.  bits is then
+    the least multiple of 64 with 2^bits > max(n!, d^2), which is 64 for
+    every partition of n <= 20 and every label the CLI batch caps admit,
+    and word is the product of the cached words Phi_k(2^bits) raised to
+    e_k, with no division.  That word is [n]!(2^bits) / prod [h](2^bits),
+    so it has at most deg + 1 digits in base 2^bits: each coefficient of
+    [n]! is at most n! < 2^bits, so with D = n(n-1)/2,
     [n]!(2^bits) < 2^(bits (D + 1)); each [h](2^bits) >= 2^(bits (h - 1));
-    so the quotient is below 2^(bits (D + 1 - sum (h - 1))), which is
+    so the word is below 2^(bits (D + 1 - sum (h - 1))), which is
     2^(bits (deg + 1)).
     One _words call unpacks those deg + 1 digits, and the word is accepted
-    only with a zero remainder and a digit sum equal to d.  Then the digits
-    are the coefficients of a polynomial K with nonnegative coefficients and
-    K(1) = d, so each coefficient of K * prod [h] is at most d * prod h =
-    n! < 2^bits, as is each of [n]!.  Neither side carries at q = 2^bits and
-    both take the value [n]!(2^bits) there, so K * prod [h] = [n]! as
-    polynomials: K is the exact quotient, built from those same digits.
+    only with a digit sum equal to d.  Then the digits are the coefficients
+    of a polynomial P with nonnegative coefficients and P(1) = d, so each
+    coefficient of P * prod [h] is at most d * prod h = n! < 2^bits, as is
+    each of [n]!.  Neither side carries at q = 2^bits and both take the
+    value [n]!(2^bits) there, so P * prod [h] = [n]! as polynomials: P is
+    K, built from those same digits.
 
     Every label's hooks pass.  For a partition of n, K is the generating
     function of its standard tableaux by major index, shifted to constant
@@ -148,9 +153,10 @@ def _hook_kostka(hooks):
     such quotient: again nonnegative, with value at 1 the multinomial times
     the components' tableau counts, which is d.  Each coefficient is then
     at most d < 2^bits, so the word's digits are K's coefficients and the
-    certificate holds.  Other multisets can fail: 3,3,1,1 fails the guard,
-    2,2,2,1 leaves a remainder, and 5,4,3,3,2,2 has the quotient
-    1 - q + q^2, whose negative coefficient shows as borrowed digits.
+    certificate holds.  Other multisets can fail: 3,3,1,1 fails the guard
+    with e_3 = -1, 2,2,2,1 with e_2 = -1, and 5,4,3,3,2,2 passes it with
+    K = Phi_6 = 1 - q + q^2, whose negative coefficient shows as borrowed
+    digits.
 
     The character needs no further check: each coefficient of K^2 is at
     most K(1)^2 = d^2 < 2^bits, so the digits of word^2 are those of K^2.
@@ -158,17 +164,20 @@ def _hook_kostka(hooks):
     K(q) K(1/q) = q^-deg K(q)^2.
     """
     n = len(hooks)
-    if min(hooks, default=1) >= 1:
-        top = factorial(n)
-        d, r = divmod(top, prod(hooks))
-        deg = n * (n + 1) // 2 - sum(hooks)
-        if not r and deg >= 0:
+    if not hooks or (min(hooks) >= 1 and max(hooks) <= n):
+        count = [0] * (n + 1)
+        for h in hooks:
+            count[h] += 1
+        exponents = [n // k - sum(count[k::k]) for k in range(2, n + 1)]
+        if not exponents or min(exponents) >= 0:
+            top = factorial(n)
+            d = top // prod(hooks)
+            deg = n * (n + 1) // 2 - sum(hooks)
             bits = -(-max(top, d * d).bit_length() // 64) * 64
-            word, r = divmod(_qfactorial_word(n, bits), prod(map(_repunit_word, hooks, repeat(bits))))
-            if not r:
-                digits = _words(word, bits, deg + 1)
-                if sum(digits) == d:
-                    return _poly(digits, 0), word, bits, deg, d
+            word = prod(_cyclotomic_word(k, bits) ** e for k, e in enumerate(exponents, 2) if e)
+            digits = _words(word, bits, deg + 1)
+            if sum(digits) == d:
+                return _poly(digits, 0), word, bits, deg, d
     raise NonExactDivision(f"hooks {hooks}: no label has these hooks; the word fails its certificate", {})
 
 

@@ -33,3 +33,24 @@ def one_minus_quotient(tops, bottoms):
                 raise NonExactDivision(f"1 - q^{b} leaves remainder with exponents {sorted(left)}", left)
             deg -= b
     return LaurentPoly({k: c for k, c in enumerate(coeffs[: deg + 1]) if c})
+
+
+def cyclotomic(k):
+    """The integer coefficients of the cyclotomic polynomial Phi_k, lowest
+    first: q^k - 1 divided in turn by the Phi_j of each proper divisor j of
+    k, by long division on a dense coefficient list."""
+    coeffs = [-1] + [0] * (k - 1) + [1]
+    for j in range(1, k):
+        if k % j == 0:
+            divisor = cyclotomic(j)
+            m = len(divisor) - 1
+            quotient = [0] * (len(coeffs) - m)
+            # every Phi_j is monic, so each quotient coefficient is the leading one left
+            for i in reversed(range(len(quotient))):
+                c = quotient[i] = coeffs[i + m]
+                for t, b in enumerate(divisor):
+                    coeffs[i + t] -= c * b
+            if any(coeffs):
+                raise ArithmeticError(f"Phi_{j} leaves a remainder in q^{k} - 1")
+            coeffs = quotient
+    return coeffs

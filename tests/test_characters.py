@@ -11,7 +11,7 @@ from itertools import chain
 from math import factorial, prod
 
 import pytest
-from _oracles import one_minus_quotient
+from _oracles import cyclotomic, one_minus_quotient
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -238,8 +238,8 @@ def test_character_report_is_a_frozen_slotted_dataclass():
 
 
 def test_caches_are_bounded():
-    for cached in (characters._hook_kostka, characters._hook_character, characters._repunit_word,
-                   characters._qfactorial_word, partitions_module._hook_lengths,
+    for cached in (characters._hook_kostka, characters._hook_character, characters._cyclotomic_word,
+                   partitions_module._hook_lengths,
                    partitions_module._partitions_of, partitions_module._gamma_partitions_of, schur._pieri_level,
                    qpoly._qfactorial_product, qpoly._qmultinomial):
         assert cached.cache_info().maxsize is not None
@@ -249,8 +249,7 @@ def test_caches_are_bounded():
 
 
 def _clear_hook_caches():
-    for cached in (characters._hook_kostka, characters._hook_character, characters._repunit_word,
-                   characters._qfactorial_word):
+    for cached in (characters._hook_kostka, characters._hook_character, characters._cyclotomic_word):
         cached.cache_clear()
 
 
@@ -281,6 +280,25 @@ def test_word_kernel_matches_dense_quotient_on_wide_words():
     _assert_word_matches_dense([characters._hook_key(singles)], 128)
 
 
+def test_cyclotomic_words_match_the_dense_oracle():
+    assert cyclotomic(12) == [1, 0, -1, 0, 1]
+    for bits in (64, 128):
+        x = 1 << bits
+        for k in range(1, 31):
+            assert characters._cyclotomic_word(k, bits) == sum(c * x**i for i, c in enumerate(cyclotomic(k))), (k, bits)
+
+
+def test_cyclotomic_exponents_are_nonnegative_and_sum_to_the_degree():
+    # e_k = floor(n/k) less the hooks divisible by k, and deg K = sum e_k deg Phi_k
+    phi = {k: len(cyclotomic(k)) - 1 for k in range(2, 15)}
+    for hooks in dict.fromkeys(hooks for _, hooks in _labels()):
+        n = len(hooks)
+        exponents = {k: n // k - sum(h % k == 0 for h in hooks) for k in range(2, n + 1)}
+        assert min(exponents.values(), default=0) >= 0, hooks
+        deg = sum(e * phi[k] for k, e in exponents.items())
+        assert deg == characters._hook_kostka(hooks)[3] == max(_dense_payload(hooks)[0].coeffs), hooks
+
+
 def test_words_are_64_bits_up_to_the_cli_caps():
     # every partition of n <= 20 and every wreath label the batch caps admit
     labels = [lam for n in range(21) for lam in enumerate_partitions(n)]
@@ -291,14 +309,15 @@ def test_words_are_64_bits_up_to_the_cli_caps():
 def test_word_kernel_rejects_multisets_that_are_no_labels_hooks():
     # n is the hook count.  5,4,3,3,2,2 divides, but the quotient
     # 1 - q + q^2 borrows digits at q = 2^64; 3,3,1,1 leaves a remainder,
-    # and so does 2,2,2,1, though 8 divides 4! and its word is the one divided
+    # and so does 2,2,2,1, though 8 divides 4!: both fail the guard on a
+    # negative cyclotomic exponent, e_3 = 1 - 2 and e_2 = 2 - 3
     assert one_minus_quotient(range(1, 7), (5, 4, 3, 3, 2, 2)).coeffs == {0: 1, 1: -1, 2: 1}
     for hooks in ((3, 3, 1, 1), (2, 2, 2, 1)):
         with pytest.raises(NonExactDivision):
             one_minus_quotient(range(1, 5), hooks)
     _clear_hook_caches()
-    # the last fails the input guard with a hook below 1
-    for hooks in ((5, 4, 3, 3, 2, 2), (3, 3, 1, 1), (2, 2, 2, 1), (2, 0)):
+    # the last two fail the hook range of the guard: a hook above n, and one below 1
+    for hooks in ((5, 4, 3, 3, 2, 2), (3, 3, 1, 1), (2, 2, 2, 1), (30, 7, 4, 4, 3, 2, 2, 1, 1, 1), (2, 0)):
         for cached in (characters._hook_kostka, characters._hook_character):
             with pytest.raises(NonExactDivision) as raised:
                 cached(hooks)
@@ -308,10 +327,11 @@ def test_word_kernel_rejects_multisets_that_are_no_labels_hooks():
 
 @st.composite
 def guarded_hook_multisets(draw):
-    """A hook multiset passing _hook_kostka's guard (with n hooks: each at
-    least 1, prod(hooks) dividing n!, sum(hooks) <= n(n+1)/2), mostly no
-    label's hooks: a partition's hooks with factors moved between hooks or
-    dropped, which keeps the product a divisor of n!."""
+    """A multiset of n hooks, each at least 1, with prod(hooks) dividing n!
+    and sum(hooks) <= n(n+1)/2, as every multiset passing _hook_kostka's
+    guard has; mostly no label's hooks: a partition's hooks with factors
+    moved between hooks or dropped, which keeps the product a divisor of n!
+    but can take a hook above n."""
     n = draw(st.integers(min_value=1, max_value=14))
     hooks = list(hook_lengths(draw(st.sampled_from(enumerate_partitions(n)))))
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -329,7 +349,8 @@ def guarded_hook_multisets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(guarded_hook_multisets())
-@example((2, 2, 2, 1))  # the word leaves a remainder
+@example((2, 2, 2, 1))  # the cyclotomic exponent e_2 = 2 - 3 is negative
+@example((30, 7, 4, 4, 3, 2, 2, 1, 1, 1))  # a hook above n
 @example((5, 4, 3, 3, 2, 2))  # exact, with a negative coefficient
 @example((1,) * 14)
 def test_guarded_word_has_at_most_deg_plus_one_digits(hooks):
