@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import index, mul, sub
 
-from .partitions import Partition
+from .partitions import Partition, _immutable
 
 
 class DuplicateEigenvalue(ValueError):
@@ -110,8 +110,7 @@ class RationalMatrix:
         object.__setattr__(self, "_entries", entries)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not by setting slots
@@ -324,8 +323,7 @@ class CMPointRegular:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "alpha", alpha)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CMPointRegular is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not by setting slots
@@ -397,8 +395,7 @@ class EmbeddedPoint:
         object.__setattr__(self, "_images", images)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddedPoint is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # pickle and copy rebuild through the public constructor, so a copied

@@ -36,6 +36,11 @@ class PartitionParseError(ValueError):
         self.position = position
 
 
+def _immutable(self, *args):
+    """The refusal each value type binds as its __setattr__ and __delattr__."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
@@ -60,8 +65,7 @@ class Partition:
         object.__setattr__(self, "size", sum(parts))
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not by setting slots
@@ -157,8 +161,7 @@ class GammaPartition:
         object.__setattr__(self, "components", components)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GammaPartition is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return GammaPartition, (self.components,)

@@ -26,6 +26,13 @@ class NonExactDivision(ArithmeticError):
         self.remainder = dict(remainder)
 
 
+def _immutable(self, *args):
+    """The refusal LaurentPoly binds as its __setattr__ and __delattr__; the
+    same as partitions._immutable, kept here so that this module imports no
+    other."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial over the integers, immutable: coeffs is a
     read-only exponent -> coefficient mapping."""
@@ -49,8 +56,7 @@ class LaurentPoly:
         object.__setattr__(poly, "coeffs", MappingProxyType(coeffs))
         return poly
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not by setting slots

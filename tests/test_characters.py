@@ -171,8 +171,8 @@ def test_characters_are_shared_per_hook_multiset():
     ],
 )
 def test_shared_polynomials_are_read_only(label, other):
-    # the cached objects reach every caller, so a write to one of them would
-    # reach every later label with that hook multiset
+    # the cached objects reach every caller, so a write or a del on one of
+    # them would reach every later label with that hook multiset
     report = character(label)
     k, chi = dict(report.kostka.coeffs), dict(report.character.coeffs)
     for poly in (report.kostka, report.character):
@@ -180,6 +180,9 @@ def test_shared_polynomials_are_read_only(label, other):
             poly.coeffs[5] = 9
         with pytest.raises(TypeError):
             del poly.coeffs[0]
+        with pytest.raises(AttributeError, match="^LaurentPoly is immutable$"):
+            del poly.coeffs
+    assert kostka(label).coeffs == k and character(label).character.coeffs == chi
     assert kostka(other).coeffs == k and character(other).character.coeffs == chi
     assert kostka(other) == LaurentPoly(k) and character(other).character == LaurentPoly(chi)
 

@@ -152,8 +152,10 @@ def test_matrix_constructor_validation():
     with pytest.raises(TypeError):
         RationalMatrix([[1, 2], [0.5]])
     m = RationalMatrix([[1, Fraction(1, 2)]])
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^RationalMatrix is immutable$"):
         m.entries = ()
+    with pytest.raises(AttributeError, match="^RationalMatrix is immutable$"):
+        del m._ints
 
 
 def test_matrix_constructor_refuses_zero_columns():
@@ -475,8 +477,10 @@ def test_point_validation():
     with pytest.raises(ValueError):
         CMPointRegular([], [])
     p = CMPointRegular([0, 1], [0, 0])
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^CMPointRegular is immutable$"):
         p.y = (5,)
+    with pytest.raises(AttributeError, match="^CMPointRegular is immutable$"):
+        del p.y
 
 
 def _joint(first, second):
@@ -760,8 +764,10 @@ def test_cm_types_copy_and_pickle_through_their_constructors():
             assert clone.entries == matrix.entries and clone._ints == matrix._ints
     for clone in _clones(point):
         assert type(clone) is CMPointRegular and (clone.y, clone.alpha) == (point.y, point.alpha)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^CMPointRegular is immutable$"):
             clone.y = ()
+        with pytest.raises(AttributeError, match="^CMPointRegular is immutable$"):
+            del clone.alpha
     embedded = wilson_embed(point)
     for original in (embedded, EmbeddedPoint(embedded.ideal, embedded.subspace)):
         for clone in _clones(original):
@@ -796,9 +802,11 @@ def test_embedded_point_validation():
 def test_embedded_point_is_immutable():
     point = wilson_embed(CMPointRegular([0, Fraction(1, 2)], [1, Fraction(-2, 3)]))
     for name in ("ideal", "subspace", "_scale", "_columns", "_dens", "_ideal_ints", "_images"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^EmbeddedPoint is immutable$"):
             setattr(point, name, ())
-    with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^EmbeddedPoint is immutable$"):
+            delattr(point, name)
+    with pytest.raises(AttributeError, match="^EmbeddedPoint is immutable$"):
         point.extra = 1
 
 

@@ -80,9 +80,17 @@ def test_constructor_rejects_bad_parts():
 
 def test_partition_is_immutable_and_hashable():
     lam = Partition((3, 1))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Partition is immutable$"):
         lam.parts = (2,)
+    with pytest.raises(AttributeError, match="^Partition is immutable$"):
+        del lam.parts
     assert {lam: 1}[Partition((3, 1))] == 1
+    # enumerate_partitions hands out the same cached objects on every call,
+    # so a refused del leaves later calls as they were
+    before = [mu.parts for mu in enumerate_partitions(3)]
+    with pytest.raises(AttributeError, match="^Partition is immutable$"):
+        del enumerate_partitions(3)[1].parts
+    assert [mu.parts for mu in enumerate_partitions(3)] == before == [(3,), (2, 1), (1, 1, 1)]
 
 
 def test_enumeration_order_for_four():
@@ -180,6 +188,8 @@ def test_gamma_partition_basics():
     assert swapped == gp
     with pytest.raises(AttributeError, match="^GammaPartition is immutable$"):
         gp.components = ()
+    with pytest.raises(AttributeError, match="^GammaPartition is immutable$"):
+        del gp.components
     with pytest.raises(TypeError):
         GammaPartition(((1,),))
     with pytest.raises(ValueError, match="need at least one component"):

@@ -44,8 +44,10 @@ def test_zero_one_term():
 
 def test_immutability():
     p = LaurentPoly({0: 1})
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^LaurentPoly is immutable$"):
         p.coeffs = {}
+    with pytest.raises(AttributeError, match="^LaurentPoly is immutable$"):
+        del p.coeffs
 
 
 @pytest.mark.parametrize("build", [lambda: LaurentPoly({0: 1, 2: -3}), lambda: one_minus_q(2) * one_minus_q(1)])

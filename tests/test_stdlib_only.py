@@ -1,10 +1,12 @@
 """The package as a whole: it stays standard-library only, every absolute
 import in src/cmkostka naming a standard-library module; its modules import
 one another in layers, with no cycle; its __all__ lists exactly the
-public names it binds that are not modules; and its sources, tests and tools
-parse as Python 3.10."""
+public names it binds that are not modules; every class of it that refuses
+assignment refuses deletion too; and its sources, tests and tools parse as
+Python 3.10."""
 
 import ast
+import importlib
 import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -72,6 +74,32 @@ def test_modules_import_in_layers():
     assert set().union(*graph.values()) <= set(graph)
     # static_order raises graphlib.CycleError on a cycle
     assert len(list(TopologicalSorter(graph).static_order())) == len(graph)
+
+
+def test_classes_that_refuse_assignment_refuse_deletion():
+    """A class whose __setattr__ is its own also overrides __delattr__, so that
+    del cannot empty a slot of a shared value, such as a cached Partition or
+    the one LaurentPoly per hook multiset, for every later reader."""
+    guarded = {}
+    for path in SOURCES:
+        module = importlib.import_module("cmkostka" if path.stem == "__init__" else f"cmkostka.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                if value.__setattr__ is not object.__setattr__:
+                    guarded[value.__name__] = value.__delattr__ is not object.__delattr__
+    assert set(guarded) >= {
+        "Partition",
+        "GammaPartition",
+        "LaurentPoly",
+        "RationalMatrix",
+        "CMPointRegular",
+        "EmbeddedPoint",
+        "CharacterReport",
+        "CheckResult",
+        "SchurExpansion",
+        "_Limits",
+    }
+    assert [name for name, refuses in guarded.items() if not refuses] == []
 
 
 def test_sources_tests_and_tools_parse_as_python_3_10():
